@@ -1,5 +1,6 @@
 """Chain complexes over Z, homology with generators, maps of homology
-groups, complex pairs, and long-exact-sequence machinery.
+groups, complex pairs, and long-exact-sequence machinery, including the
+suspension homomorphism that path and cubical homology share.
 
 A chain complex stores, per degree, an ordered generator basis and the
 boundary as sparse columns into the previous degree.  Homology groups are
@@ -10,6 +11,8 @@ out as honest integer matrices in fixed coordinates.
 
 from __future__ import annotations
 
+import inspect
+from functools import lru_cache, wraps
 from typing import Callable, Optional, Sequence
 
 from .intlinalg import (
@@ -64,9 +67,6 @@ class ChainComplex:
     def basis(self, n: int) -> list:
         return self.degrees.get(n, [])
 
-    def max_degree(self) -> int:
-        return max(self.degrees) if self.degrees else -1
-
     def boundary_of(self, n: int, vec: dict) -> dict:
         """Boundary of a degree-n chain given as a sparse coordinate dict."""
         cols = self.boundary_cols.get(n)
@@ -76,14 +76,6 @@ class ChainComplex:
         for j, coeff in vec.items():
             vec_addmul(out, cols[j], coeff)
         return out
-
-    def boundary_matrix(self, n: int) -> IntMatrix:
-        rows, cols = self.dim(n - 1), self.dim(n)
-        data = [[0] * cols for _ in range(rows)]
-        for j, col in enumerate(self.boundary_cols.get(n, [])):
-            for i, val in col.items():
-                data[i][j] = val
-        return IntMatrix(data, cols=cols)
 
     def check_square_zero(self) -> None:
         for n in sorted(self.boundary_cols):
@@ -168,12 +160,6 @@ class HomologyData:
         for idx, d in zip(self._gen_idx, self._divisors):
             out.append(w[idx] % d if d else w[idx])
         return tuple(out)
-
-    def is_boundary(self, vec: dict) -> bool:
-        return all(x == 0 for x in self.class_vector(vec))
-
-    def zero_class(self) -> tuple[int, ...]:
-        return (0,) * self.n_generators
 
 
 class HomologyClass:
@@ -432,6 +418,11 @@ class ChainComplexPair:
             vec_addmul(out, ad.section(j), coeff)
         return out
 
+    def quotient_class(self, n: int, vec: dict) -> HomologyClass:
+        """Class in H_n(quotient) of an ambient chain that is a relative cycle."""
+        hd = self.quotient.homology(n)
+        return HomologyClass(hd.group, hd.class_vector(self.ambient_chain_to_quotient(n, vec)))
+
     def ambient_chain_to_sub(self, n: int, vec: dict) -> dict:
         sub_vec = self._adapters[n].sub_coords(vec)
         if sub_vec is None:
@@ -486,6 +477,65 @@ class ChainComplexPair:
                 maps.append(self.connecting_map(n))
         maps.append(GroupMap.zero(self.quotient.homology(0).group, AbelianGroup(0)))
         return maps
+
+
+def pair_map(
+    pair1: ChainComplexPair,
+    pair2: ChainComplexPair,
+    n: int,
+    ambient_map: Callable[[int, dict], dict],
+) -> GroupMap:
+    """H_n(pair1 quotient) -> H_n(pair2 quotient) induced by a chain map of
+    the ambients that carries the first subcomplex into the second.
+    `ambient_map(n, vec)` sends a degree-n chain of pair1's ambient to
+    pair2's ambient coordinates."""
+    hd1 = pair1.quotient.homology(n)
+    hd2 = pair2.quotient.homology(n)
+    images = [
+        pair2.ambient_chain_to_quotient(
+            n, ambient_map(n, pair1.quotient_section(n, hd1.representative(j)))
+        )
+        for j in range(hd1.n_generators)
+    ]
+    return hom_map(hd1, hd2, images)
+
+
+def suspension_composite(
+    cone_pair: ChainComplexPair,
+    susp_pair: ChainComplexPair,
+    n: int,
+    ambient_map: Callable[[int, dict], dict],
+) -> GroupMap:
+    """The suspension homomorphism H_n(x) -> H_{n+1}(Sx) as
+    (quotient map)^-1 after (pair map) after (connecting map)^-1, through
+    the cone pair (C^+x, x) and the suspension pair (Sx, C^-x).
+    `ambient_map` includes the chains of C^+x into those of Sx."""
+    xi = cone_pair.connecting_map(n + 1)
+    incl = pair_map(cone_pair, susp_pair, n + 1, ambient_map)
+    q = susp_pair.quotient_map(n + 1)
+    return q.inverse().compose(incl).compose(xi.inverse())
+
+
+def cached_builder(maxsize: int):
+    """`lru_cache` keyed on the arguments with defaults filled in, so that
+    calls spelling the same arguments differently (positional, keyword or
+    omitted) share one entry; `cache_info` and `cache_clear` are kept."""
+
+    def decorate(fn):
+        signature = inspect.signature(fn)
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def builder(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return cached(*bound.args)
+
+        builder.cache_info = cached.cache_info
+        builder.cache_clear = cached.cache_clear
+        return builder
+
+    return decorate
 
 
 def homology_of(c: ChainComplex, n: int) -> AbelianGroup:
@@ -587,5 +637,5 @@ class _DegreeAdapter:
         w = self._U.apply(full)
         if any(w[self.sub_dim + j] for j in range(self.quot_dim)):
             return None
-        y = self._V.apply(list(w[: self.sub_dim]) + [0] * 0)
+        y = self._V.apply(list(w[: self.sub_dim]))
         return {j: val for j, val in enumerate(y) if val}

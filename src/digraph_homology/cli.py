@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -56,13 +55,6 @@ EXIT_SUBDIGRAPH = 4
 EXIT_GRIDMAP = 5
 
 
-@dataclass
-class CommandConfig:
-    json_output: bool = False
-    maxdim: int = 3
-    seed: int = 0
-
-
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
@@ -98,13 +90,19 @@ def _load_subdigraph(data: dict, base_dir: Path) -> Digraph:
         raise CliError(f"bad subdigraph: {exc}", EXIT_PARSE)
 
 
-def _group_report(name: str, group: AbelianGroup, cfg: CommandConfig) -> str:
-    if cfg.json_output:
+def _group_report(name: str, group: AbelianGroup, json_output: bool) -> str:
+    if json_output:
         return json.dumps(group.to_json())
     return f"{name} = {group}"
 
 
-def cmd_homology(args, cfg: CommandConfig) -> int:
+def _require_degree(dim: int) -> None:
+    if dim < 0:
+        raise CliError(f"--dim must be non-negative, got {dim}", EXIT_PARSE)
+
+
+def cmd_homology(args) -> int:
+    _require_degree(args.dim)
     g = _load_digraph(args.input)
     rel: Optional[Digraph] = None
     if args.relative:
@@ -113,7 +111,7 @@ def cmd_homology(args, cfg: CommandConfig) -> int:
 
         if not is_subdigraph(rel, g):
             raise CliError("the relative file is not a subdigraph of the input", EXIT_SUBDIGRAPH)
-    if args.dim + 1 > cfg.maxdim:
+    if args.dim + 1 > args.maxdim:
         raise CliError(
             f"degree {args.dim} needs chains up to {args.dim + 1}; raise --maxdim",
             EXIT_BOUND,
@@ -122,16 +120,16 @@ def cmd_homology(args, cfg: CommandConfig) -> int:
         if args.theory == "path":
             group = path_homology(g, args.dim, relative_to=rel, reduced=args.reduced)
         else:
-            group = cubical_homology(g, args.dim, relative_to=rel, dim_bound=cfg.maxdim)
+            group = cubical_homology(g, args.dim, relative_to=rel, dim_bound=args.maxdim)
     except BoundExceededError as exc:
         raise CliError(str(exc), EXIT_BOUND)
     except NotASubdigraphError as exc:
         raise CliError(str(exc), EXIT_SUBDIGRAPH)
-    print(_group_report(f"H_{args.dim}", group, cfg))
+    print(_group_report(f"H_{args.dim}", group, args.json))
     return 0
 
 
-def cmd_build(args, cfg: CommandConfig) -> int:
+def cmd_build(args) -> int:
     try:
         if args.op == "cone":
             g = _load_digraph(args.inputs[0])
@@ -178,7 +176,7 @@ def _fresh_label(g: Digraph, stem: str) -> str:
     return label
 
 
-def cmd_hurewicz(args, cfg: CommandConfig) -> int:
+def cmd_hurewicz(args) -> int:
     data = _load_json(args.gridmap)
     try:
         target = None
@@ -193,11 +191,11 @@ def cmd_hurewicz(args, cfg: CommandConfig) -> int:
     if args.relative and f.mode != "triple":
         raise CliError("--relative requires a triple-mode grid map", EXIT_GRIDMAP)
     try:
-        cubical = hurewicz_class(f, dim_bound=max(cfg.maxdim, f.dims + 1))
+        cubical = hurewicz_class(f, dim_bound=max(args.maxdim, f.dims + 1))
         glmy = glmy_hurewicz(f)
     except BoundExceededError as exc:
         raise CliError(str(exc), EXIT_BOUND)
-    if cfg.json_output:
+    if args.json:
         out = {
             "cubical": {"group": cubical.group.to_json(), "coords": list(cubical.coords)},
             "path": {"group": glmy.group.to_json(), "coords": list(glmy.coords)},
@@ -213,15 +211,16 @@ def cmd_hurewicz(args, cfg: CommandConfig) -> int:
     return 0
 
 
-def cmd_compare(args, cfg: CommandConfig) -> int:
+def cmd_compare(args) -> int:
+    _require_degree(args.dim)
     g = _load_digraph(args.input)
-    if args.dim + 1 > cfg.maxdim:
-        raise CliError(f"degree {args.dim} exceeds --maxdim {cfg.maxdim}", EXIT_BOUND)
+    if args.dim + 1 > args.maxdim:
+        raise CliError(f"degree {args.dim} exceeds --maxdim {args.maxdim}", EXIT_BOUND)
     try:
-        lmap = comparison_L(g, args.dim, dim_bound=cfg.maxdim)
+        lmap = comparison_L(g, args.dim, dim_bound=args.maxdim)
     except BoundExceededError as exc:
         raise CliError(str(exc), EXIT_BOUND)
-    if cfg.json_output:
+    if args.json:
         print(
             json.dumps(
                 {
@@ -240,7 +239,7 @@ def cmd_compare(args, cfg: CommandConfig) -> int:
     return 0
 
 
-def cmd_verify(args, cfg: CommandConfig) -> int:
+def cmd_verify(args) -> int:
     if args.what == "certificate":
         if len(args.inputs) != 3:
             raise CliError("verify certificate needs F.json G.json CERT.json", EXIT_PARSE)
@@ -277,13 +276,12 @@ def cmd_verify(args, cfg: CommandConfig) -> int:
 
         if not is_subdigraph(sub, ambient):
             raise CliError("'sub' is not a subdigraph of 'ambient'", EXIT_SUBDIGRAPH)
-        maxdim = args.maxdim if args.maxdim is not None else cfg.maxdim
         if args.theory == "path":
-            pair = build_omega_pair(ambient, sub, maxdim + 1)
-            maps = pair.pair.les_maps(maxdim)
+            pair = build_omega_pair(ambient, sub, args.maxdim + 1)
+            maps = pair.pair.les_maps(args.maxdim)
         else:
-            pair = build_cubical_pair(ambient, sub, min(maxdim + 1, cfg.maxdim))
-            maps = pair.pair.les_maps(min(maxdim, cfg.maxdim - 1))
+            pair = build_cubical_pair(ambient, sub, args.maxdim)
+            maps = pair.pair.les_maps(args.maxdim - 1)
         ok = verify_exactness(maps)
         print("PASS" if ok else "FAIL")
         return 0 if ok else EXIT_VERIFY_FAILED
@@ -291,7 +289,7 @@ def cmd_verify(args, cfg: CommandConfig) -> int:
     if args.what == "paper-suite":
         from .acceptance import run_all
 
-        results = run_all(seed=cfg.seed)
+        results = run_all(seed=args.seed)
         width = max(len(r.name) for r in results)
         failures = 0
         for r in results:
@@ -360,9 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = CommandConfig(json_output=args.json, maxdim=args.maxdim, seed=args.seed)
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -4,8 +4,8 @@ A singular n-cube is a digraph map from the n-fold box power of the
 single arrow 0 -> 1 into the target.  Cube values are stored flat over
 {0,1}^n in binary-counter order (first coordinate most significant).
 Degenerate cubes (constant along some axis) span the subcomplex that is
-quotiented away; relative complexes additionally drop cubes landing in a
-subdigraph.
+quotiented away.  Relative homology comes from the pair of the complexes
+of a digraph and of a subdigraph.
 
 Also houses the corner-to-corner generator of the unit grid's allowed
 chains, the induced chain map into path chains, and the comparison map
@@ -15,7 +15,6 @@ from cubical to path homology built from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import permutations
 from typing import Optional
 
@@ -24,7 +23,9 @@ from .chains import (
     ChainComplexPair,
     GroupMap,
     HomologyClass,
+    cached_builder,
     hom_map,
+    suspension_composite,
 )
 from .digraphs import Digraph, require_subdigraph, cone, suspension
 from .intlinalg import AbelianGroup
@@ -193,15 +194,11 @@ def cubical_boundary(ch: CubicalChain) -> CubicalChain:
 def enumerate_cubes(
     g: Digraph,
     n: int,
-    within: Optional[Digraph] = None,
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
 ) -> list[SingularCube]:
     """All singular n-cubes of g, by backtracking over corners in
     lexicographic (binary-counter) order; deterministic output order.
-
-    `within` restricts to cubes whose image subdigraph lies in the given
-    subdigraph of g.
     """
     if n > dim_bound:
         raise BoundExceededError(f"dimension {n} exceeds bound {dim_bound}")
@@ -209,13 +206,8 @@ def enumerate_cubes(
         raise BoundExceededError(
             f"{g.n_vertices} vertices exceed bound {vertex_bound}"
         )
-    if within is not None:
-        require_subdigraph(within, g)
-        h = within
-    else:
-        h = g
-    verts = list(h.vertices)
-    succ = {v: (v,) + h.out_neighbors(v) for v in verts}
+    verts = list(g.vertices)
+    succ = {v: (v,) + g.out_neighbors(v) for v in verts}
 
     total = 2**n
     out: list[SingularCube] = []
@@ -243,41 +235,19 @@ def enumerate_cubes(
     return out
 
 
-def cube_in_subdigraph(c: SingularCube, a: Digraph) -> bool:
-    """True iff the cube is a valid map into the subdigraph a."""
-    for v in c.values:
-        if not a.has_vertex(v):
-            return False
-    n = c.dim
-    for idx in range(2**n):
-        for k in range(n):
-            bit = 1 << (n - 1 - k)
-            if idx & bit:
-                continue
-            u, w = c.values[idx], c.values[idx | bit]
-            if u != w and not a.has_arrow(u, w):
-                return False
-    return True
-
-
 class CubicalComplex:
-    """Quotient cubical chain complex with basis the nondegenerate cubes
-    (relative variant: nondegenerate cubes not lying in the subdigraph)."""
+    """Quotient cubical chain complex with basis the nondegenerate cubes."""
 
     def __init__(
         self,
         g: Digraph,
         maxdim: int,
-        relative_to: Optional[Digraph] = None,
         dim_bound: int = DEFAULT_DIM_BOUND,
         vertex_bound: int = DEFAULT_VERTEX_BOUND,
         reduced: bool = False,
     ):
-        if relative_to is not None:
-            require_subdigraph(relative_to, g)
         self.digraph = g
         self.maxdim = maxdim
-        self.relative_to = relative_to
         self.reduced = reduced
         self.basis: dict[int, list[SingularCube]] = {}
         self.index: dict[int, dict[SingularCube, int]] = {}
@@ -291,7 +261,6 @@ class CubicalComplex:
                 c
                 for c in enumerate_cubes(g, n, dim_bound=dim_bound, vertex_bound=vertex_bound)
                 if not is_degenerate(c)
-                and not (relative_to is not None and cube_in_subdigraph(c, relative_to))
             ]
             self.basis[n] = cubes
             self.index[n] = {c: i for i, c in enumerate(cubes)}
@@ -309,15 +278,14 @@ class CubicalComplex:
                             f = face(c, i, k)
                             row = below.get(f)
                             if row is None:
-                                continue  # degenerate or inside the subdigraph
+                                continue  # degenerate
                             col[row] = col.get(row, 0) + s
                     cols.append({r: v for r, v in col.items() if v})
             boundary[n] = cols
         self.complex = ChainComplex(degrees, boundary)
 
     def chain_coords(self, ch: CubicalChain) -> dict:
-        """Quotient coordinates of a chain: degenerate cubes (and cubes in
-        the subdigraph, in the relative case) are dropped."""
+        """Quotient coordinates of a chain: degenerate cubes are dropped."""
         n = ch.dim
         if n not in self.index:
             raise BoundExceededError(f"dimension {n} outside the built range")
@@ -326,10 +294,7 @@ class CubicalComplex:
         for cube, coeff in ch.terms.items():
             row = index.get(cube)
             if row is None:
-                if is_degenerate(cube) or (
-                    self.relative_to is not None
-                    and cube_in_subdigraph(cube, self.relative_to)
-                ):
+                if is_degenerate(cube):
                     continue
                 raise ValueError("chain contains a cube outside the enumerated basis")
             vec[row] = vec.get(row, 0) + coeff
@@ -346,16 +311,15 @@ class CubicalComplex:
         return HomologyClass(hd.group, hd.class_vector(self.chain_coords(ch)))
 
 
-@lru_cache(maxsize=64)
+@cached_builder(maxsize=64)
 def build_cubical_complex(
     g: Digraph,
     maxdim: int,
-    relative_to: Optional[Digraph] = None,
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
     reduced: bool = False,
 ) -> CubicalComplex:
-    return CubicalComplex(g, maxdim, relative_to, dim_bound, vertex_bound, reduced)
+    return CubicalComplex(g, maxdim, dim_bound, vertex_bound, reduced)
 
 
 def cubical_homology(
@@ -365,17 +329,19 @@ def cubical_homology(
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
 ) -> AbelianGroup:
-    """Cubical homology of g (or of the pair) at degree n; requires
-    n + 1 <= dim_bound so the image boundary is available."""
+    """Cubical homology of g (or of the pair (g, relative_to)) at degree n;
+    requires n + 1 <= dim_bound so the image boundary is available."""
     if n + 1 > dim_bound:
         raise BoundExceededError(f"degree {n} needs dimension {n + 1} > bound {dim_bound}")
-    cc = build_cubical_complex(g, n + 1, relative_to, dim_bound, vertex_bound)
-    return cc.homology(n)
+    if relative_to is not None:
+        pair = build_cubical_pair(g, relative_to, n + 1, dim_bound, vertex_bound)
+        return pair.pair.quotient.homology(n).group
+    return build_cubical_complex(g, n + 1, dim_bound, vertex_bound).homology(n)
 
 
 class CubicalPair:
-    """Absolute-in-ambient / sub / quotient complexes for a subdigraph,
-    assembled as a coordinate subcomplex pair."""
+    """The complexes of a digraph and of a subdigraph, with the
+    subdigraph's nondegenerate cubes as a coordinate subcomplex."""
 
     def __init__(
         self,
@@ -389,63 +355,18 @@ class CubicalPair:
         require_subdigraph(a, g)
         self.digraph = g
         self.sub_digraph = a
-        self.ambient = build_cubical_complex(g, maxdim, None, dim_bound, vertex_bound, reduced)
-        inclusion: dict[int, list] = {}
-        sub_degrees: dict[int, list] = {}
-        sub_boundary: dict[int, list] = {}
-        self.sub_basis: dict[int, list[SingularCube]] = {}
+        self.ambient = build_cubical_complex(g, maxdim, dim_bound, vertex_bound, reduced)
+        self.sub = build_cubical_complex(a, maxdim, dim_bound, vertex_bound, reduced)
+        inclusion = {
+            n: [{self.ambient.index[n][c]: 1} for c in self.sub.basis[n]]
+            for n in range(maxdim + 1)
+        }
         if reduced:
-            sub_degrees[-1] = ["*"]
-            sub_boundary[-1] = [{}]
             inclusion[-1] = [{0: 1}]
-        for n in range(maxdim + 1):
-            amb_index = self.ambient.index[n]
-            # enumerated within the subdigraph so that basis order (hence
-            # homology coordinates) matches the standalone complex of `a`
-            sub_cubes = [
-                c
-                for c in enumerate_cubes(g, n, within=a, dim_bound=dim_bound,
-                                         vertex_bound=vertex_bound)
-                if not is_degenerate(c)
-            ]
-            self.sub_basis[n] = sub_cubes
-            sub_index = {c: i for i, c in enumerate(sub_cubes)}
-            sub_degrees[n] = sub_cubes
-            inclusion[n] = [{amb_index[c]: 1} for c in sub_cubes]
-            cols = []
-            if n > 0:
-                below = {c: i for i, c in enumerate(self.sub_basis[n - 1])}
-                for c in sub_cubes:
-                    col: dict[int, int] = {}
-                    for i in range(1, n + 1):
-                        sign = (-1) ** i
-                        for k, s in ((0, sign), (1, -sign)):
-                            f = face(c, i, k)
-                            row = below.get(f)
-                            if row is None:
-                                continue
-                            col[row] = col.get(row, 0) + s
-                    cols.append({r: v for r, v in col.items() if v})
-            else:
-                cols = [{0: 1} if reduced else {} for _ in sub_cubes]
-            sub_boundary[n] = cols
-        self.sub = ChainComplex(sub_degrees, sub_boundary)
-        self.pair = ChainComplexPair(self.ambient.complex, self.sub, inclusion)
-
-    def sub_chain_coords(self, ch: CubicalChain) -> dict:
-        index = {c: i for i, c in enumerate(self.sub_basis[ch.dim])}
-        vec: dict[int, int] = {}
-        for cube, coeff in ch.terms.items():
-            if is_degenerate(cube):
-                continue
-            row = index.get(cube)
-            if row is None:
-                raise ValueError("chain is not supported on the subdigraph")
-            vec[row] = vec.get(row, 0) + coeff
-        return {r: v for r, v in vec.items() if v}
+        self.pair = ChainComplexPair(self.ambient.complex, self.sub.complex, inclusion)
 
 
-@lru_cache(maxsize=64)
+@cached_builder(maxsize=64)
 def build_cubical_pair(
     g: Digraph,
     a: Digraph,
@@ -465,13 +386,12 @@ def connecting_face_formula(pair: CubicalPair, n: int) -> GroupMap:
     lifted cubes; a shorter sum does not even land in the subcomplex.)
     """
     hd_quot = pair.pair.quotient.homology(n + 1)
-    hd_sub = pair.sub.homology(n)
+    hd_sub = pair.pair.sub.homology(n)
     images = []
     for j in range(hd_quot.n_generators):
         amb_vec = pair.pair.quotient_section(n + 1, hd_quot.representative(j))
         chain = pair.ambient.coords_to_chain(n + 1, amb_vec)
-        bound = cubical_boundary(chain)
-        images.append(pair.sub_chain_coords(bound))
+        images.append(pair.sub.chain_coords(cubical_boundary(chain)))
     return hom_map(hd_quot, hd_sub, images)
 
 
@@ -541,7 +461,7 @@ def comparison_L(
     """Matrix of the comparison homomorphism from cubical to path homology
     at degree n, on the chosen generator bases.  The reduced variant (only
     meaningful at n = 0) compares the two augmented theories."""
-    cc = build_cubical_complex(g, n + 1, None, dim_bound, vertex_bound, reduced)
+    cc = build_cubical_complex(g, n + 1, dim_bound, vertex_bound, reduced)
     oc = build_omega_complex(g, n + 1, reduced)
     hd_c = cc.complex.homology(n)
     hd_p = oc.complex.homology(n)
@@ -554,22 +474,6 @@ def comparison_L(
             raise AssertionError("comparison image left the allowed-boundary lattice")
         images.append(coords)
     return hom_map(hd_c, hd_p, images)
-
-
-def _cubical_pair_inclusion_induced(
-    pair1: CubicalPair, pair2: CubicalPair, n: int
-) -> GroupMap:
-    """H^c_n(pair1) -> H^c_n(pair2) induced by an inclusion of digraph
-    pairs; cubes are reinterpreted in the larger digraph."""
-    hd1 = pair1.pair.quotient.homology(n)
-    hd2 = pair2.pair.quotient.homology(n)
-    images = []
-    for j in range(hd1.n_generators):
-        amb_vec = pair1.pair.quotient_section(n, hd1.representative(j))
-        chain = pair1.ambient.coords_to_chain(n, amb_vec)
-        coords = pair2.ambient.chain_coords(chain)
-        images.append(pair2.pair.ambient_chain_to_quotient(n, coords))
-    return hom_map(hd1, hd2, images)
 
 
 def cubical_suspension_map(
@@ -588,12 +492,15 @@ def cubical_suspension_map(
     group, so the source is the reduced group there.
     """
     reduced = n == 0
-    sx = suspension(x, apex_a, apex_b)
-    cp = cone(x, apex_a)
-    cm = cone(x, apex_b)
-    pair_cone = build_cubical_pair(cp, x, n + 2, dim_bound, vertex_bound, reduced)
-    pair_susp = build_cubical_pair(sx, cm, n + 2, dim_bound, vertex_bound, reduced)
-    xi = pair_cone.pair.connecting_map(n + 1)
-    incl = _cubical_pair_inclusion_induced(pair_cone, pair_susp, n + 1)
-    q = pair_susp.pair.quotient_map(n + 1)
-    return q.inverse().compose(incl).compose(xi.inverse())
+    pair_cone = build_cubical_pair(
+        cone(x, apex_a), x, n + 2, dim_bound, vertex_bound, reduced
+    )
+    pair_susp = build_cubical_pair(
+        suspension(x, apex_a, apex_b), cone(x, apex_b), n + 2, dim_bound, vertex_bound, reduced
+    )
+
+    def include(k: int, vec: dict) -> dict:
+        basis, index = pair_cone.ambient.basis[k], pair_susp.ambient.index[k]
+        return {index[basis[j]]: coeff for j, coeff in vec.items()}
+
+    return suspension_composite(pair_cone.pair, pair_susp.pair, n, include)

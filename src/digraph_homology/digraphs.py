@@ -268,13 +268,6 @@ def suspension(x: Digraph, apex_a: Label = "+a", apex_b: Label = "+b") -> Digrap
     return build_digraph(vertices, arrows, x.base)
 
 
-def iterated_suspension(x: Digraph, times: int) -> Digraph:
-    for i in range(times):
-        x = suspension(x, f"+a{i}" if x.has_vertex("+a") else "+a",
-                       f"+b{i}" if x.has_vertex("+b") else "+b")
-    return x
-
-
 # --- line digraphs and grids ----------------------------------------------
 
 

@@ -20,6 +20,8 @@ from typing import Optional, Sequence
 
 from .chains import HomologyClass
 from .cubes import (
+    DEFAULT_DIM_BOUND,
+    DEFAULT_VERTEX_BOUND,
     CubicalChain,
     SingularCube,
     build_cubical_complex,
@@ -694,25 +696,25 @@ def _add_cell(f: GridMap, cell: tuple[int, ...], terms: dict) -> None:
     terms[cube] = terms.get(cube, 0) + sign
 
 
-def hurewicz_class(f: GridMap, dim_bound: int = 3, vertex_bound: int = 12) -> HomologyClass:
+def hurewicz_class(
+    f: GridMap,
+    dim_bound: int = DEFAULT_DIM_BOUND,
+    vertex_bound: int = DEFAULT_VERTEX_BOUND,
+) -> HomologyClass:
     """Class of the cell decomposition in cubical homology: absolute for
     pair mode, relative to the constraint subdigraph for triple mode."""
-    require_valid(f)
     n = f.dims
     ch = hurewicz_chain(f)
     if f.mode == "triple":
         pair = build_cubical_pair(f.target, f.sub, n + 1, dim_bound, vertex_bound)
-        hd = pair.pair.quotient.homology(n)
-        vec = pair.pair.ambient_chain_to_quotient(n, pair.ambient.chain_coords(ch))
-        return HomologyClass(hd.group, hd.class_vector(vec))
-    cc = build_cubical_complex(f.target, n + 1, None, dim_bound, vertex_bound)
+        return pair.pair.quotient_class(n, pair.ambient.chain_coords(ch))
+    cc = build_cubical_complex(f.target, n + 1, dim_bound, vertex_bound)
     return cc.class_of(ch)
 
 
-def glmy_hurewicz(f: GridMap, dim_bound: int = 3, vertex_bound: int = 12) -> HomologyClass:
+def glmy_hurewicz(f: GridMap) -> HomologyClass:
     """Class of the cell decomposition pushed into path homology (the
     comparison map applied to the cubical class, computed at chain level)."""
-    require_valid(f)
     n = f.dims
     pc = iota(hurewicz_chain(f))
     if f.mode == "triple":

@@ -9,7 +9,6 @@ long-exact-sequence maps.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .chains import (
@@ -18,7 +17,8 @@ from .chains import (
     GroupMap,
     HomologyClass,
     NotACycleError,
-    hom_map,
+    cached_builder,
+    suspension_composite,
 )
 from .digraphs import (
     Digraph,
@@ -120,10 +120,6 @@ class PathChain:
 
 def is_regular(path: Sequence) -> bool:
     return all(a != b for a, b in zip(path, path[1:]))
-
-
-def is_allowed(g: Digraph, path: Sequence) -> bool:
-    return all(g.has_arrow(a, b) for a, b in zip(path, path[1:]))
 
 
 def allowed_paths(g: Digraph, n: int) -> list[tuple]:
@@ -281,7 +277,7 @@ class OmegaComplex:
         return HomologyClass(hd.group, hd.class_vector(vec))
 
 
-@lru_cache(maxsize=128)
+@cached_builder(maxsize=128)
 def build_omega_complex(g: Digraph, maxdeg: int, reduced: bool = False) -> OmegaComplex:
     """Build (and cache) the allowed-chain complex of g up to maxdeg."""
     return OmegaComplex(g, maxdeg, reduced)
@@ -314,16 +310,13 @@ class OmegaPair:
 
     def quotient_class(self, chain: PathChain) -> HomologyClass:
         """Class of an ambient allowed chain in the relative homology."""
-        n = chain.degree
         vec = self.ambient.lattice_coords(chain)
         if vec is None:
             raise NotACycleError("chain is not in the ambient lattice")
-        qvec = self.pair.ambient_chain_to_quotient(n, vec)
-        hd = self.pair.quotient.homology(n)
-        return HomologyClass(hd.group, hd.class_vector(qvec))
+        return self.pair.quotient_class(chain.degree, vec)
 
 
-@lru_cache(maxsize=64)
+@cached_builder(maxsize=64)
 def build_omega_pair(g: Digraph, a: Digraph, maxdeg: int, reduced: bool = False) -> OmegaPair:
     return OmegaPair(g, a, maxdeg, reduced)
 
@@ -393,28 +386,7 @@ def suspension_cycle(
     return out
 
 
-def _pair_inclusion_induced(
-    pair1: OmegaPair, pair2: OmegaPair, n: int
-) -> GroupMap:
-    """H_n(pair1 quotient) -> H_n(pair2 quotient) induced by an inclusion
-    of digraph pairs (chains are literally reinterpreted)."""
-    hd1 = pair1.pair.quotient.homology(n)
-    hd2 = pair2.pair.quotient.homology(n)
-    images = []
-    for j in range(hd1.n_generators):
-        qvec = hd1.representative(j)
-        amb_vec = pair1.pair.quotient_section(n, qvec)
-        chain = pair1.ambient.to_path_chain(n, amb_vec)
-        coords = pair2.ambient.lattice_coords(chain)
-        if coords is None:
-            raise AssertionError("chain does not include into the larger pair")
-        images.append(pair2.pair.ambient_chain_to_quotient(n, coords))
-    return hom_map(hd1, hd2, images)
-
-
-def path_suspension_map(
-    x: Digraph, n: int, reduced: bool = False, apex_a="+a", apex_b="+b"
-) -> GroupMap:
+def path_suspension_map(x: Digraph, n: int, apex_a="+a", apex_b="+b") -> GroupMap:
     """The suspension homomorphism H_n(x) -> H_{n+1}(suspension of x),
     computed as (quotient map)^-1 after (pair inclusion) after
     (connecting map)^-1 through the two cone pairs.
@@ -422,23 +394,17 @@ def path_suspension_map(
     At n = 0 the connecting map is only invertible against the augmented
     (reduced) degree-0 group, so the source is the reduced group there.
     """
-    reduced = reduced or n == 0
-    sx = suspension(x, apex_a, apex_b)
-    cp = cone(x, apex_a)
-    cm = cone(x, apex_b)
-    pair_cone = build_omega_pair(cp, x, n + 2, reduced)
-    pair_susp = build_omega_pair(sx, cm, n + 2, reduced)
-    xi = pair_cone.pair.connecting_map(n + 1)
-    # the connecting map of the cone pair lands in H_n(x)
-    incl = _pair_inclusion_induced(pair_cone, pair_susp, n + 1)
-    q = pair_susp.pair.quotient_map(n + 1)
-    return q.inverse().compose(incl).compose(xi.inverse())
+    reduced = n == 0
+    pair_cone = build_omega_pair(cone(x, apex_a), x, n + 2, reduced)
+    pair_susp = build_omega_pair(
+        suspension(x, apex_a, apex_b), cone(x, apex_b), n + 2, reduced
+    )
 
+    def include(k: int, vec: dict) -> dict:
+        chain = pair_cone.ambient.to_path_chain(k, vec)
+        coords = pair_susp.ambient.lattice_coords(chain)
+        if coords is None:
+            raise AssertionError("chain does not include into the larger pair")
+        return coords
 
-def suspension_homology_of_x(x: Digraph, n: int, reduced: bool = False):
-    """Homology data pair (H_n(x), H_{n+1}(suspension x)) sharing the
-    complexes used by path_suspension_map, for class comparisons."""
-    sx = suspension(x, "+a", "+b")
-    hd_x = build_omega_complex(x, n + 2, reduced).complex.homology(n)
-    hd_sx = build_omega_complex(sx, n + 2, reduced).complex.homology(n + 1)
-    return hd_x, hd_sx
+    return suspension_composite(pair_cone.pair, pair_susp.pair, n, include)

@@ -43,16 +43,6 @@ def random_digraph(
     return build_digraph(range(nv), arrows)
 
 
-def random_subdigraph(rng: random.Random, g: Digraph, keep_vertex=None) -> Digraph:
-    verts = [v for v in g.vertices if rng.random() < 0.7]
-    if keep_vertex is not None and keep_vertex not in verts:
-        verts.append(keep_vertex)
-    vset = set(verts)
-    arrows = [a for a in g.arrows if a[0] in vset and a[1] in vset and rng.random() < 0.7]
-    ordered = [v for v in g.vertices if v in vset]
-    return build_digraph(ordered, arrows)
-
-
 def random_grid_map(
     rng: random.Random,
     target: Digraph,

@@ -97,9 +97,20 @@ def test_relative_homology(tmp_path, capsys, c4_file):
     assert code == 0
     sub = tmp_path / "sub.json"
     sub.write_text(json.dumps(digraph_to_json(relabel_to_strings(cycle_digraph(4)))))
-    code, out, _ = run_cli(capsys, "homology", cone_file, "--dim", "2", "--relative", sub)
-    assert code == 0
-    assert out.strip() == "H_2 = Z"
+    for theory in ("path", "cubical"):
+        code, out, _ = run_cli(
+            capsys, "homology", cone_file, "--theory", theory, "--dim", "2", "--relative", sub
+        )
+        assert code == 0
+        assert out.strip() == "H_2 = Z"
+
+
+def test_negative_degree_exit_code(c4_file, capsys):
+    for argv in (("homology", c4_file, "--dim", "-1"), ("compare", c4_file, "--dim", "-2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_build_commands(tmp_path, capsys, c4_file):

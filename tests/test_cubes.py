@@ -243,6 +243,30 @@ def test_connecting_formula_matches_generic():
         assert connecting_face_formula(pair, 1) == pair.pair.connecting_map(2)
 
 
+def test_relative_cubical_homology_of_cone_pairs():
+    # the cone is contractible, so the LES of (cone x, x) gives
+    # H^c_{n+1}(cone x, x) = H^c_n(x), reduced at n = 0
+    rng = random.Random(17)
+    xs = [cycle_digraph(4), build_digraph([0, 1], []), build_digraph([0], [])]
+    while len(xs) < 6:
+        x = random_digraph(rng, max_vertices=4, max_arrows=6, min_vertices=2)
+        if path_homology(x, 1) != AbelianGroup(0):
+            xs.append(x)
+    for x in xs:
+        for n in (0, 1):
+            relative = cubical_homology(cone(x, "+a"), n + 1, relative_to=x)
+            assert relative == build_cubical_complex(x, n + 1, reduced=n == 0).homology(n)
+
+
+def test_cubical_pair_sub_is_the_complex_of_the_subdigraph():
+    c4 = cycle_digraph(4)
+    pair = build_cubical_pair(cone(c4, "+a"), c4, 2)
+    assert pair.sub is build_cubical_complex(c4, 2)
+    for n in range(3):
+        for j, cube in enumerate(pair.sub.basis[n]):
+            assert pair.pair.sub_chain_to_ambient(n, {j: 1}) == {pair.ambient.index[n][cube]: 1}
+
+
 def test_cubical_les_exactness():
     c4 = cycle_digraph(4)
     pair = build_cubical_pair(cone(c4, "+a"), c4, 3)

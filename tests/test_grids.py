@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from digraph_homology.cubes import build_cubical_pair, is_degenerate
+from digraph_homology import grids
+from digraph_homology.cubes import (
+    build_cubical_complex,
+    build_cubical_pair,
+    comparison_L,
+    is_degenerate,
+)
 from digraph_homology.digraphs import (
     LineSpec,
     build_digraph,
@@ -15,6 +21,7 @@ from digraph_homology.grids import (
     CertificateStep,
     CoordinateOutOfRangeError,
     GridMap,
+    InvalidGridMapError,
     ModeMismatchError,
     NotMonotoneShapeError,
     OddLengthAxisError,
@@ -43,7 +50,7 @@ from digraph_homology.grids import (
     verify_homotopy_certificate,
     verify_one_step,
 )
-from digraph_homology.paths import build_omega_complex
+from digraph_homology.paths import build_omega_complex, build_omega_pair
 from digraph_homology.randomgen import (
     random_certificate_chain,
     random_digraph,
@@ -385,3 +392,39 @@ def test_grid_map_json_roundtrip():
     parsed = certificate_from_json(blob)
     assert parsed[0].left.tables == steps[0].left.tables
     assert parsed[0].direction == "fwd"
+
+
+def test_hurewicz_classes_validate_once(monkeypatch):
+    calls = []
+    check = grids.grid_map_violation
+
+    def counted(f):
+        calls.append(f)
+        return check(f)
+
+    monkeypatch.setattr(grids, "grid_map_violation", counted)
+    for fn in (hurewicz_class, glmy_hurewicz):
+        calls.clear()
+        fn(winding())
+        assert len(calls) == 1
+    bad = GridMap((standard_line(2),), (0, 2, 0), C4, "pair", 0)
+    for fn in (hurewicz_class, glmy_hurewicz):
+        with pytest.raises(InvalidGridMapError):
+            fn(bad)
+
+
+def test_builders_share_cache_entries_across_spellings():
+    for builder in (build_omega_complex, build_omega_pair, build_cubical_complex, build_cubical_pair):
+        builder.cache_clear()
+    hurewicz_class(winding())
+    glmy_hurewicz(winding())
+    before = (build_omega_complex.cache_info(), build_cubical_complex.cache_info())
+    comparison_L(C4, 1)
+    after = (build_omega_complex.cache_info(), build_cubical_complex.cache_info())
+    for b, a in zip(before, after):
+        assert (a.hits, a.misses) == (b.hits + 1, b.misses)
+    oc = build_omega_complex(C4, 2)
+    assert build_omega_complex(C4, 2, False) is oc
+    assert build_omega_complex(C4, maxdeg=2, reduced=False) is oc
+    pair = build_omega_pair(cone(C4, "+a"), C4, 2)
+    assert pair.sub is oc
