@@ -130,6 +130,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_build(args) -> int:
+    if args.times < 0:
+        raise CliError(f"--times must be non-negative, got {args.times}", EXIT_PARSE)
     try:
         if args.op == "cone":
             g = _load_digraph(args.inputs[0])
@@ -180,7 +182,7 @@ def cmd_hurewicz(args) -> int:
     data = _load_json(args.gridmap)
     try:
         target = None
-        if isinstance(data.get("target"), str):
+        if isinstance(data, dict) and isinstance(data.get("target"), str):
             target = _load_digraph(str(Path(args.gridmap).parent / data["target"]))
         f = grid_map_from_json(data, target)
     except (GridError, DigraphError, KeyError, TypeError) as exc:
@@ -276,13 +278,16 @@ def cmd_verify(args) -> int:
 
         if not is_subdigraph(sub, ambient):
             raise CliError("'sub' is not a subdigraph of 'ambient'", EXIT_SUBDIGRAPH)
-        if args.theory == "path":
-            pair = build_omega_pair(ambient, sub, args.maxdim + 1)
-            maps = pair.pair.les_maps(args.maxdim)
-        else:
-            pair = build_cubical_pair(ambient, sub, args.maxdim)
-            maps = pair.pair.les_maps(args.maxdim - 1)
-        ok = verify_exactness(maps)
+        try:
+            if args.theory == "path":
+                pair = build_omega_pair(ambient, sub, args.maxdim + 1)
+            else:
+                pair = build_cubical_pair(
+                    ambient, sub, args.maxdim + 1, dim_bound=args.maxdim + 1
+                )
+        except BoundExceededError as exc:
+            raise CliError(str(exc), EXIT_BOUND)
+        ok = verify_exactness(pair.pair.les_maps(args.maxdim))
         print("PASS" if ok else "FAIL")
         return 0 if ok else EXIT_VERIFY_FAILED
 

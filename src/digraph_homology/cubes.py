@@ -7,6 +7,13 @@ Degenerate cubes (constant along some axis) span the subcomplex that is
 quotiented away.  Relative homology comes from the pair of the complexes
 of a digraph and of a subdigraph.
 
+Every corner-index computation reads small per-dimension index tables,
+built once per n (`_tables`): the corners of each face, the corner pairs
+along each axis that decide degeneracy and validity, the lower neighbours
+of each corner that constrain enumeration, and the corner paths of the
+unit grid's generator.  Faces, degeneracy tests and `iota` images are
+then tuple gathers from a cube's values.
+
 Also houses the corner-to-corner generator of the unit grid's allowed
 chains, the induced chain map into path chains, and the comparison map
 from cubical to path homology built from it.
@@ -15,8 +22,10 @@ from cubical to path homology built from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from .chains import (
     ChainComplex,
@@ -56,6 +65,68 @@ def corner_index(x: tuple[int, ...]) -> int:
     return idx
 
 
+def _gather(indices: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """The map from a values tuple to the tuple of its entries at `indices`
+    (`itemgetter` alone returns a bare entry for a single index)."""
+    if len(indices) == 1:
+        (j,) = indices
+        return lambda values: (values[j],)
+    return itemgetter(*indices)
+
+
+class _Tables(NamedTuple):
+    """Corner-index tables of the n-cube; see `_tables`."""
+
+    boundary: tuple[tuple[Callable, int], ...]
+    axes: tuple[tuple[Callable, Callable], ...]
+    lower: tuple[tuple[int, ...], ...]
+    omega: tuple[tuple[Callable, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _tables(n: int) -> _Tables:
+    """Index tables of the n-cube, in binary-counter corner order.
+
+    - `boundary[2 * (i - 1) + k]` gathers face (i, k), the corners with
+      coordinate i (1-based) fixed to k in the order of `cube_corners(n - 1)`,
+      with its sign in the cubical boundary: (-1)^i for the front face
+      k = 0 and -(-1)^i for the back face k = 1;
+    - `axes[k]` gathers the low and the high corner of every edge along
+      axis k + 1, so a cube is degenerate iff both gathers agree for some axis;
+    - `lower[idx]` lists the corners one step below corner idx, one per
+      set coordinate, first coordinate first;
+    - `omega` gathers each corner path of `omega_generator(n)` with its sign.
+    """
+    if n < 0:
+        raise ValueError("negative dimension")
+    corners = cube_corners(n)
+    boundary = []
+    for i in range(1, n + 1):
+        for k in (0, 1):
+            on_face = [corner_index(x[: i - 1] + (k,) + x[i - 1 :]) for x in cube_corners(n - 1)]
+            boundary.append((_gather(tuple(on_face)), (-1) ** (i + k)))
+    axes = []
+    for k in range(n):
+        low = tuple(corner_index(x) for x in corners if not x[k])
+        high = tuple(corner_index(x[:k] + (1,) + x[k + 1 :]) for x in corners if not x[k])
+        axes.append((_gather(low), _gather(high)))
+    lower = tuple(
+        tuple(corner_index(x[:k] + (0,) + x[k + 1 :]) for k in range(n) if x[k]) for x in corners
+    )
+    omega = tuple(
+        (_gather(tuple(corner_index(x) for x in path)), sign)
+        for path, sign in omega_generator(n).terms.items()
+    )
+    return _Tables(tuple(boundary), tuple(axes), lower, omega)
+
+
+def _degenerate(values: tuple, axes: tuple[tuple[Callable, Callable], ...]) -> bool:
+    for low, high in axes:
+        if low(values) == high(values):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class SingularCube:
     """Map from the n-cube's corners into a digraph, flat values tuple.
@@ -81,13 +152,8 @@ class SingularCube:
         for v in self.values:
             if not g.has_vertex(v):
                 return False
-        n = self.dim
-        for idx in range(2**n):
-            for k in range(n):
-                bit = 1 << (n - 1 - k)
-                if idx & bit:
-                    continue
-                a, b = self.values[idx], self.values[idx | bit]
+        for low, high in _tables(self.dim).axes:
+            for a, b in zip(low(self.values), high(self.values)):
                 if a != b and not g.has_arrow(a, b):
                     return False
         return True
@@ -102,26 +168,13 @@ def face(c: SingularCube, i: int, k: int) -> SingularCube:
         raise IndexOutOfRangeError(f"face index {i} out of range for dimension {c.dim}")
     if k not in (0, 1):
         raise IndexOutOfRangeError("face side must be 0 or 1")
-    n = c.dim
-    vals = []
-    for x in cube_corners(n - 1):
-        y = x[: i - 1] + (k,) + x[i - 1 :]
-        vals.append(c.corner(y))
-    return SingularCube(n - 1, tuple(vals), c.target)
+    gather, _ = _tables(c.dim).boundary[2 * (i - 1) + k]
+    return SingularCube(c.dim - 1, gather(c.values), c.target)
 
 
 def is_degenerate(c: SingularCube) -> bool:
     """True iff the assignment is constant along some axis."""
-    n = c.dim
-    for k in range(n):
-        bit = 1 << (n - 1 - k)
-        if all(
-            c.values[idx] == c.values[idx | bit]
-            for idx in range(2**n)
-            if not idx & bit
-        ):
-            return True
-    return False
+    return _degenerate(c.values, _tables(c.dim).axes)
 
 
 class CubicalChain:
@@ -180,15 +233,52 @@ def cubical_boundary(ch: CubicalChain) -> CubicalChain:
     Degenerate faces are retained; they die only in the quotient complex."""
     if ch.dim == 0:
         return CubicalChain(-1)
+    n = ch.dim
+    boundary = _tables(n).boundary
     terms: dict[SingularCube, int] = {}
     for cube, coeff in ch.terms.items():
-        for i in range(1, cube.dim + 1):
-            sign = (-1) ** i
-            f0 = face(cube, i, 0)
-            f1 = face(cube, i, 1)
-            terms[f0] = terms.get(f0, 0) + sign * coeff
-            terms[f1] = terms.get(f1, 0) - sign * coeff
-    return CubicalChain(ch.dim - 1, terms)
+        for gather, sign in boundary:
+            f = SingularCube(n - 1, gather(cube.values), cube.target)
+            terms[f] = terms.get(f, 0) + sign * coeff
+    return CubicalChain(n - 1, terms)
+
+
+def _cube_values(g: Digraph, n: int, dim_bound: int, vertex_bound: int) -> list[tuple]:
+    """Values tuples of all singular n-cubes of g, by backtracking over
+    corners in binary-counter order; deterministic output order."""
+    if n > dim_bound:
+        raise BoundExceededError(f"dimension {n} exceeds bound {dim_bound}")
+    if g.n_vertices > vertex_bound:
+        raise BoundExceededError(
+            f"{g.n_vertices} vertices exceed bound {vertex_bound}"
+        )
+    verts = list(g.vertices)
+    succ = {v: (v,) + g.out_neighbors(v) for v in verts}
+    lower = _tables(n).lower
+
+    total = 2**n
+    out: list[tuple] = []
+    values: list = [None] * total
+
+    def fill(idx: int):
+        if idx == total:
+            out.append(tuple(values))
+            return
+        below = lower[idx]
+        if below:
+            cands = succ[values[below[0]]]
+            for j in below[1:]:
+                allow = succ[values[j]]
+                cands = [v for v in cands if v in allow]
+        else:
+            cands = verts
+        for v in cands:
+            values[idx] = v
+            fill(idx + 1)
+        values[idx] = None
+
+    fill(0)
+    return out
 
 
 def enumerate_cubes(
@@ -200,39 +290,7 @@ def enumerate_cubes(
     """All singular n-cubes of g, by backtracking over corners in
     lexicographic (binary-counter) order; deterministic output order.
     """
-    if n > dim_bound:
-        raise BoundExceededError(f"dimension {n} exceeds bound {dim_bound}")
-    if g.n_vertices > vertex_bound:
-        raise BoundExceededError(
-            f"{g.n_vertices} vertices exceed bound {vertex_bound}"
-        )
-    verts = list(g.vertices)
-    succ = {v: (v,) + g.out_neighbors(v) for v in verts}
-
-    total = 2**n
-    out: list[SingularCube] = []
-    values: list = [None] * total
-
-    def fill(idx: int):
-        if idx == total:
-            out.append(SingularCube(n, tuple(values), g))
-            return
-        cands = None
-        for k in range(n):
-            bit = 1 << (n - 1 - k)
-            if idx & bit:
-                prev = values[idx ^ bit]
-                allow = succ[prev]
-                cands = allow if cands is None else [v for v in cands if v in allow]
-        if cands is None:
-            cands = verts
-        for v in cands:
-            values[idx] = v
-            fill(idx + 1)
-        values[idx] = None
-
-    fill(0)
-    return out
+    return [SingularCube(n, v, g) for v in _cube_values(g, n, dim_bound, vertex_bound)]
 
 
 class CubicalComplex:
@@ -256,31 +314,27 @@ class CubicalComplex:
         if reduced:
             degrees[-1] = ["*"]
             boundary[-1] = [{}]
+        rows: dict[tuple, int] = {}
         for n in range(maxdim + 1):
-            cubes = [
-                c
-                for c in enumerate_cubes(g, n, dim_bound=dim_bound, vertex_bound=vertex_bound)
-                if not is_degenerate(c)
+            tables = _tables(n)
+            values = [
+                v
+                for v in _cube_values(g, n, dim_bound, vertex_bound)
+                if not _degenerate(v, tables.axes)
             ]
+            cols = []
+            for v in values:
+                col: dict[int, int] = {0: 1} if reduced and n == 0 else {}
+                for gather, sign in tables.boundary:
+                    row = rows.get(gather(v))
+                    if row is not None:  # None: the face is degenerate
+                        col[row] = col.get(row, 0) + sign
+                cols.append({r: x for r, x in col.items() if x})
+            rows = {v: i for i, v in enumerate(values)}
+            cubes = [SingularCube(n, v, g) for v in values]
             self.basis[n] = cubes
             self.index[n] = {c: i for i, c in enumerate(cubes)}
             degrees[n] = cubes
-            cols = []
-            if n == 0:
-                cols = [{0: 1} if reduced else {} for _ in cubes]
-            else:
-                below = self.index[n - 1]
-                for c in cubes:
-                    col: dict[int, int] = {}
-                    for i in range(1, n + 1):
-                        sign = (-1) ** i
-                        for k, s in ((0, sign), (1, -sign)):
-                            f = face(c, i, k)
-                            row = below.get(f)
-                            if row is None:
-                                continue  # degenerate
-                            col[row] = col.get(row, 0) + s
-                    cols.append({r: v for r, v in col.items() if v})
             boundary[n] = cols
         self.complex = ChainComplex(degrees, boundary)
 
@@ -435,17 +489,11 @@ def iota(arg) -> PathChain:
         n = arg.dim
     else:
         raise TypeError("iota expects a cube or a cubical chain")
-    if n == 0:
-        terms0: dict[tuple, int] = {}
-        for cube, coeff in chains:
-            key = (cube.values[0],)
-            terms0[key] = terms0.get(key, 0) + coeff
-        return PathChain(0, terms0)
-    gen = omega_generator(n)
+    omega = _tables(n).omega
     terms: dict[tuple, int] = {}
     for cube, coeff in chains:
-        for path, sign in gen.terms.items():
-            image = tuple(cube.corner(x) for x in path)
+        for gather, sign in omega:
+            image = gather(cube.values)
             if is_regular(image):
                 terms[image] = terms.get(image, 0) + sign * coeff
     return PathChain(n, terms)

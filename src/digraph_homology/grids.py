@@ -787,9 +787,13 @@ def grid_map_to_json(f: GridMap) -> dict:
 def grid_map_from_json(data: dict, target: Optional[Digraph] = None) -> GridMap:
     from .digraphs import build_digraph, digraph_from_json
 
+    if not isinstance(data, dict):
+        raise GridError(f"a grid map must be a JSON object, got {type(data).__name__}")
     axes = []
     for ax in data["axes"]:
-        m = int(ax["len"])
+        m = ax["len"]
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+            raise GridError(f"axis length must be a non-negative integer, got {m!r}")
         pattern = ax.get("pattern", "standard")
         axes.append(standard_line(m) if pattern == "standard" else LineSpec(m, pattern))
     if target is None:

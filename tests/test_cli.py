@@ -4,6 +4,7 @@ import pytest
 
 from digraph_homology.cli import main
 from digraph_homology.digraphs import (
+    cone,
     cycle_digraph,
     digraph_from_json,
     digraph_to_json,
@@ -176,8 +177,6 @@ def test_hurewicz_relative_flag(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "hurewicz", path, "--relative")
     assert code == 5
 
-    from digraph_homology.digraphs import cone
-
     cp = cone(g.target, "+a")
     vals = []
     for i in range(3):
@@ -242,7 +241,8 @@ def test_verify_certificate(tmp_path, capsys):
     assert code == 1 and out.strip() == "FAIL"
 
 
-def test_verify_exactness(tmp_path, capsys, c4_file):
+@pytest.fixture
+def cone_pair_file(tmp_path, capsys, c4_file):
     cone_file = tmp_path / "cone.json"
     run_cli(capsys, "build", "cone", c4_file, "-o", cone_file)
     pair_file = tmp_path / "pair.json"
@@ -254,14 +254,89 @@ def test_verify_exactness(tmp_path, capsys, c4_file):
             }
         )
     )
+    return pair_file
+
+
+def test_verify_exactness(capsys, cone_pair_file):
     code, out, _ = run_cli(
-        capsys, "verify", "exactness", pair_file, "--theory", "path", "--maxdim", "3"
+        capsys, "verify", "exactness", cone_pair_file, "--theory", "path", "--maxdim", "3"
     )
     assert code == 0 and out.strip() == "PASS"
     code, out, _ = run_cli(
-        capsys, "verify", "exactness", pair_file, "--theory", "cubical", "--maxdim", "2"
+        capsys, "verify", "exactness", cone_pair_file, "--theory", "cubical", "--maxdim", "2"
     )
     assert code == 0 and out.strip() == "PASS"
+
+
+def test_verify_exactness_checks_the_same_degrees_in_both_theories(
+    capsys, cone_pair_file, monkeypatch
+):
+    from digraph_homology.chains import ChainComplexPair
+
+    les_maps = ChainComplexPair.les_maps
+    degrees = []
+
+    def recording(self, maxdeg):
+        degrees.append(maxdeg)
+        return les_maps(self, maxdeg)
+
+    monkeypatch.setattr(ChainComplexPair, "les_maps", recording)
+    for theory in ("path", "cubical"):
+        code, out, _ = run_cli(
+            capsys, "verify", "exactness", cone_pair_file, "--theory", theory, "--maxdim", "2"
+        )
+        assert code == 0 and out.strip() == "PASS"
+    assert degrees == [2, 2]
+
+
+def test_verify_exactness_bound_exceeded(tmp_path, capsys):
+    # the cone of a 12-cycle has 13 vertices, over the cubical vertex bound
+    c12 = relabel_to_strings(cycle_digraph(12))
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(
+        json.dumps({"ambient": digraph_to_json(cone(c12, "a")), "sub": digraph_to_json(c12)})
+    )
+    code, out, err = run_cli(capsys, "verify", "exactness", pair_file, "--theory", "cubical")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        [],
+        "map",
+        {"axes": [{"len": "x"}], "values": ["0"]},
+        {"axes": [{"len": 1.5}], "values": ["0", "0"]},
+        {"axes": [{"len": -3}], "values": ["0"]},
+    ],
+    ids=["list", "string", "text-len", "fractional-len", "negative-len"],
+)
+@pytest.mark.parametrize("command", ["hurewicz", "verify-certificate"])
+def test_malformed_grid_map_exit_code(tmp_path, capsys, document, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    if command == "hurewicz":
+        argv = ("hurewicz", bad)
+    else:
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(grid_map_to_json(winding_json())))
+        cert = tmp_path / "cert.json"
+        cert.write_text("[]")
+        argv = ("verify", "certificate", bad, good, cert)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_build_negative_times_exit_code(capsys, c4_file):
+    for op in ("cone", "suspend"):
+        code, out, err = run_cli(capsys, "build", op, c4_file, "--times", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_output_deterministic(tmp_path, capsys, c4_file):

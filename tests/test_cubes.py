@@ -33,6 +33,7 @@ from digraph_homology.digraphs import (
 )
 from digraph_homology.intlinalg import AbelianGroup
 from digraph_homology.paths import (
+    PathChain,
     build_omega_complex,
     path_homology,
     regular_boundary,
@@ -205,6 +206,126 @@ def test_iota_is_chain_map_and_lands_in_lattice():
                 ch = CubicalChain(n, {cube: 1})
                 assert iota(cubical_boundary(ch)) == regular_boundary(iota(ch))
                 assert oc.lattice_coords(iota(ch)) is not None
+
+
+# --- per-corner reference definitions -----------------------------------------
+# The library reads faces, degeneracy and iota images from precomputed index
+# tables; these are the direct per-corner definitions they must agree with.
+
+
+def reference_cubes(g, n):
+    """Singular n-cubes by backtracking, each corner constrained by its
+    lower neighbours along every axis; binary-counter order."""
+    verts = list(g.vertices)
+    succ = {v: (v,) + g.out_neighbors(v) for v in verts}
+    out, values = [], [None] * 2**n
+
+    def fill(idx):
+        if idx == 2**n:
+            out.append(SingularCube(n, tuple(values), g))
+            return
+        cands = None
+        for k in range(n):
+            bit = 1 << (n - 1 - k)
+            if idx & bit:
+                allow = succ[values[idx ^ bit]]
+                cands = allow if cands is None else [v for v in cands if v in allow]
+        for v in verts if cands is None else cands:
+            values[idx] = v
+            fill(idx + 1)
+
+    fill(0)
+    return out
+
+
+def reference_face(c, i, k):
+    vals = [c.corner(x[: i - 1] + (k,) + x[i - 1 :]) for x in cube_corners(c.dim - 1)]
+    return SingularCube(c.dim - 1, tuple(vals), c.target)
+
+
+def reference_is_degenerate(c):
+    n = c.dim
+    for k in range(n):
+        bit = 1 << (n - 1 - k)
+        if all(c.values[idx] == c.values[idx | bit] for idx in range(2**n) if not idx & bit):
+            return True
+    return False
+
+
+def reference_iota(c):
+    terms = {}
+    for path, sign in omega_generator(c.dim).terms.items():
+        image = tuple(c.corner(x) for x in path)
+        if all(a != b for a, b in zip(image, image[1:])):
+            terms[image] = terms.get(image, 0) + sign
+    return PathChain(c.dim, terms)
+
+
+def reference_boundary(c):
+    """Sum over i of (-1)^i (front face - back face)."""
+    terms = {}
+    for i in range(1, c.dim + 1):
+        for k, sign in ((0, (-1) ** i), (1, -((-1) ** i))):
+            f = reference_face(c, i, k)
+            terms[f] = terms.get(f, 0) + sign
+    return CubicalChain(c.dim - 1, terms)
+
+
+def differential_digraphs():
+    rng = random.Random(41)
+    gs = [cycle_digraph(4), build_digraph([0, 1], [(0, 1)]), build_digraph([0], [])]
+    gs += [random_digraph(rng, max_vertices=5, max_arrows=8, min_vertices=2) for _ in range(5)]
+    return gs
+
+
+def test_index_tables_match_per_corner_definitions():
+    for g in differential_digraphs():
+        for n in range(4):
+            cubes = enumerate_cubes(g, n)
+            assert cubes == reference_cubes(g, n)
+            for c in cubes:
+                assert c.is_valid()
+                assert is_degenerate(c) == reference_is_degenerate(c)
+                assert iota(c) == reference_iota(c)
+                for i in range(1, n + 1):
+                    for k in (0, 1):
+                        assert face(c, i, k) == reference_face(c, i, k)
+                if n:
+                    assert cubical_boundary(CubicalChain(n, {c: 1})) == reference_boundary(c)
+
+
+def test_is_valid_against_brute_force():
+    rng = random.Random(43)
+    gs = [cycle_digraph(3)] + [random_digraph(rng, max_vertices=4, max_arrows=5) for _ in range(3)]
+    for g in gs:
+        for n in (0, 1, 2):
+            valid = set(brute_force_cubes(g, n))
+            for vals in product(g.vertices, repeat=2**n):
+                assert SingularCube(n, vals, g).is_valid() == (vals in valid)
+
+
+def test_cubical_complex_matches_per_corner_reference():
+    for g in differential_digraphs():
+        for reduced in (False, True):
+            cc = build_cubical_complex(g, 3, reduced=reduced)
+            cc.complex.check_square_zero()
+            index = {}
+            for n in range(4):
+                basis = [c for c in reference_cubes(g, n) if not reference_is_degenerate(c)]
+                assert cc.basis[n] == basis
+                assert cc.index[n] == {c: j for j, c in enumerate(basis)}
+                cols = []
+                for c in basis:
+                    col = {}
+                    if n == 0 and reduced:
+                        col[0] = 1
+                    for f, sign in reference_boundary(c).terms.items():
+                        row = index.get(f)
+                        if row is not None:
+                            col[row] = col.get(row, 0) + sign
+                    cols.append({r: v for r, v in col.items() if v})
+                assert cc.complex.boundary_cols[n] == cols
+                index = cc.index[n]
 
 
 def test_degenerate_cubes_form_a_subcomplex():
