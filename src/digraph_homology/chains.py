@@ -17,11 +17,12 @@ from typing import Callable, Optional, Sequence
 
 from .intlinalg import (
     AbelianGroup,
+    Cokernel,
     Echelon,
     IntMatrix,
     NotASublatticeError,
     _snf_full,
-    integer_solve,
+    _solve_from_snf,
     sparse_kernel_basis,
     vec_addmul,
 )
@@ -110,56 +111,40 @@ class HomologyData:
         self._kernel = Echelon()
         for v in kernel_vecs:
             self._kernel.add(v)
-        kernel_basis = self._kernel.basis_vectors()
-        k = len(kernel_basis)
+        self._kernel_basis = self._kernel.basis_vectors()
 
         image = Echelon()
         for col in complex.boundary_cols.get(n + 1, []):
             if col:
                 image.add(col)
-        image_cols = []
+        relations = []
         for w in image.basis_vectors():
             y = self._kernel.solve(w)
             if y is None:
                 raise BoundaryNotSquareZeroError(
                     f"image at degree {n} does not lie in the kernel"
                 )
-            image_cols.append(y)
-
-        rel = IntMatrix.from_cols(image_cols, rows=k)
-        snf = _snf_full(rel)
-        divisors = snf.divisors
-        rank_rel = len(divisors)
-        torsion_idx = [i for i, d in enumerate(divisors) if d > 1]
-        free_idx = list(range(rank_rel, k))
-        self._gen_idx = torsion_idx + free_idx
-        self._divisors = [divisors[i] for i in torsion_idx] + [0] * len(free_idx)
-        self._U = snf.U
-        self._Uinv = snf.Uinv
-        self.group = AbelianGroup(len(free_idx), tuple(divisors[i] for i in torsion_idx))
+            relations.append(y)
+        self._quotient = Cokernel(len(self._kernel_basis), relations)
+        self.group = self._quotient.group
 
     @property
     def n_generators(self) -> int:
-        return len(self._gen_idx)
+        return self.group.n_generators
 
     def representative(self, j: int) -> dict:
         """Chain-level representative of the j-th homology generator."""
-        col = self._Uinv.column(self._gen_idx[j])
         out: dict = {}
-        for coeff, vec in zip(col, self._kernel.basis_vectors()):
-            vec_addmul(out, vec, coeff)
+        for i, coeff in self._quotient.generators[j].items():
+            vec_addmul(out, self._kernel_basis[i], coeff)
         return out
 
     def class_vector(self, vec: dict) -> tuple[int, ...]:
         """Coordinates of a cycle's class in the chosen generators."""
-        y = self._kernel.solve(dict(vec))
+        y = self._kernel.solve(vec)
         if y is None:
             raise NotACycleError(f"chain is not a cycle in degree {self.n}")
-        w = self._U.apply(y)
-        out = []
-        for idx, d in zip(self._gen_idx, self._divisors):
-            out.append(w[idx] % d if d else w[idx])
-        return tuple(out)
+        return self._quotient.coords(y)
 
 
 class HomologyClass:
@@ -314,10 +299,11 @@ class GroupMap:
             stacked = stacked.hstack(IntMatrix.from_cols([rel], rows=len(rel)))
         s = self.source.n_generators
         t = self.target.n_generators
+        snf = _snf_full(stacked)
         cols = []
         for j in range(t):
             e = [1 if i == j else 0 for i in range(t)]
-            sol = integer_solve(stacked, e)
+            sol = _solve_from_snf(snf, e)
             if sol is None:
                 raise ValueError("map is not surjective; cannot invert")
             cols.append(sol[:s])

@@ -96,9 +96,9 @@ def _group_report(name: str, group: AbelianGroup, json_output: bool) -> str:
     return f"{name} = {group}"
 
 
-def _require_degree(dim: int) -> None:
+def _require_degree(dim: int, flag: str = "--dim") -> None:
     if dim < 0:
-        raise CliError(f"--dim must be non-negative, got {dim}", EXIT_PARSE)
+        raise CliError(f"{flag} must be non-negative, got {dim}", EXIT_PARSE)
 
 
 def cmd_homology(args) -> int:
@@ -263,6 +263,7 @@ def cmd_verify(args) -> int:
     if args.what == "exactness":
         if len(args.inputs) != 1:
             raise CliError("verify exactness needs one PAIR.json input", EXIT_PARSE)
+        _require_degree(args.maxdim, "--maxdim")
         data = _load_json(args.inputs[0])
         base_dir = Path(args.inputs[0]).parent
         try:

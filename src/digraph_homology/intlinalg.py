@@ -5,13 +5,18 @@ integer lattices with exact membership tests, and finitely generated
 abelian group presentations.  Everything runs on arbitrary-precision
 Python integers; no floating point is used anywhere.
 
-Dense matrices are small (presentation-sized); the sparse helpers
-(`sparse_kernel_basis`, `Echelon`) carry the large boundary matrices.
+Vectors of the large matrices are sparse dicts: `sparse_kernel_basis`
+and `Echelon` carry boundary matrices and lattice coordinates, and
+`Cokernel` presents Z^k / (relations) by eliminating unit pivots sparsely.
+The dense `_snf_full` is the one Smith-form engine; it sees only
+presentation-sized matrices and the non-unit residual block a `Cokernel`
+leaves, which is usually empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 
@@ -292,8 +297,11 @@ def _snf_full(mat: IntMatrix) -> SmithDecomposition:
                             col_combine(t, j)
                 if any(a[i][t] for i in range(t + 1, r)):
                     continue
-            # pivot must divide the rest of the block for the divisibility chain
+            # pivot must divide the rest of the block for the divisibility chain;
+            # a unit divides everything
             d = a[t][t]
+            if d in (1, -1):
+                break
             bad = None
             for i in range(t + 1, r):
                 row = a[i]
@@ -527,15 +535,19 @@ class Echelon:
     (its smallest nonzero index); insertion keeps the span unchanged, so
     after adding a spanning set the basis generates the same lattice.
     Membership and coordinate solves are forced forward reductions.
+    Basis positions follow the sorted pivots; the pivot -> position map
+    is cached until the next `add`.
     """
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}
+        self._position: Optional[dict[int, int]] = None
 
     def __len__(self):
         return len(self.pivots)
 
     def add(self, vec: dict) -> None:
+        self._position = None
         v = dict(vec)
         while v:
             p = min(v)
@@ -564,10 +576,12 @@ class Echelon:
                 v = w
 
     def basis_vectors(self) -> list[dict]:
-        return [self.pivots[p] for p in sorted(self.pivots)]
+        return [self.pivots[p] for p in self._positions()]
 
-    def pivot_rows(self) -> list[int]:
-        return sorted(self.pivots)
+    def _positions(self) -> dict[int, int]:
+        if self._position is None:
+            self._position = {p: j for j, p in enumerate(sorted(self.pivots))}
+        return self._position
 
     def reduce(self, vec: dict) -> tuple[dict, dict]:
         """Forward-reduce vec; returns (coeffs keyed by pivot row, remainder)."""
@@ -587,12 +601,13 @@ class Echelon:
         _, rem = self.reduce(vec)
         return not rem
 
-    def solve(self, vec: dict) -> Optional[list[int]]:
-        """Coefficients of vec in basis order (sorted pivots), or None."""
+    def solve(self, vec: dict) -> Optional[dict]:
+        """Coefficients of vec as a sparse dict {basis position: coeff}, or None."""
         coeffs, rem = self.reduce(vec)
         if rem:
             return None
-        return [coeffs.get(p, 0) for p in sorted(self.pivots)]
+        position = self._positions()
+        return {position[p]: q for p, q in coeffs.items()}
 
     @staticmethod
     def vector_as_list(vec: dict, length: int) -> list[int]:
@@ -664,6 +679,127 @@ def sparse_kernel_basis(cols: list[dict], nrows: int) -> list[dict]:
             continue
         out.append({i - nrows: val for i, val in w.items()})
     return out
+
+
+class Cokernel:
+    """Z^rows / span(relations), relations given as sparse dicts.
+
+    Unit pivots are eliminated first, sparsely: the column with the fewest
+    nonzeros that has a ±1 entry, in that column the ±1 row with the
+    fewest nonzeros, ties broken by index, so nothing depends on set or
+    hash order.  Column operations clear the pivot row from the other
+    columns and are not recorded; each pivot then leaves the row
+    operation `row_l -= c_l * u * row_i` (u = c_i = ±1), which kills
+    coordinate i.  Whatever block is left has no unit entry and goes to
+    the dense `_snf_full`.
+
+    Generators are ordered torsion first (divisors increasing), then free:
+    the rows outside the pivots and the residual block, in index order,
+    then the residual block's free part.  Only the two halves of the
+    transform that are read are kept.  `generators` holds each
+    generator's column of U^-1 as a vector of Z^rows; the row operations
+    read only pivot coordinates, so this is a unit vector or a column of
+    the residual's U^-1.  `coords` reads the rows of U that belong to
+    generators, stored per coordinate and found by running the row
+    operations backwards.
+    """
+
+    def __init__(self, rows: int, relations: Iterable[dict]):
+        cols: dict[int, dict] = {}
+        row_cols: dict[int, set[int]] = {}
+        for j, rel in enumerate(relations):
+            if rel:
+                cols[j] = dict(rel)
+                for i in rel:
+                    row_cols.setdefault(i, set()).add(j)
+        heap = [(len(c), j) for j, c in cols.items()]
+        heapify(heap)
+        steps = []
+        while heap:
+            size, j = heappop(heap)
+            c = cols.get(j)
+            if c is None or len(c) != size:
+                continue  # stale entry; the column was pushed again when it changed
+            units = [i for i, x in c.items() if x == 1 or x == -1]
+            if not units:
+                continue  # pushed again if a later pivot changes it
+            i = min(units, key=lambda r: (len(row_cols[r]), r))
+            u = c[i]
+            del cols[j]
+            for r in c:
+                row_cols[r].discard(j)
+            # each update reads only the pivot column, so their order is free
+            for jj in row_cols.pop(i):
+                cc = cols[jj]
+                q = -cc[i] * u
+                for r, x in c.items():
+                    new = cc.get(r, 0) + q * x
+                    if new:
+                        if r not in cc:
+                            row_cols[r].add(jj)
+                        cc[r] = new
+                    else:
+                        del cc[r]
+                        if r != i:
+                            row_cols[r].discard(jj)
+                if cc:
+                    heappush(heap, (len(cc), jj))
+                else:
+                    del cols[jj]
+            steps.append((i, u, c))
+
+        pivot_rows = {i for i, _, _ in steps}
+        res_rows = sorted({r for c in cols.values() for r in c})
+        reached = pivot_rows.union(res_rows)
+        # (generator as a vector of Z^rows, its row of U as {row: coeff})
+        free = [({r: 1}, {r: 1}) for r in range(rows) if r not in reached]
+        torsion, divisors = [], []
+        if cols:
+            where = {r: q for q, r in enumerate(res_rows)}
+            res_cols = sorted(cols)
+            block = [[0] * len(res_cols) for _ in res_rows]
+            for jj, j in enumerate(res_cols):
+                for r, x in cols[j].items():
+                    block[where[r]][jj] = x
+            snf = _snf_full(IntMatrix(block, cols=len(res_cols)))
+            for p in range(len(res_rows)):
+                d = snf.divisors[p] if p < snf.rank else 0
+                if d == 1:
+                    continue
+                gen = {r: snf.Uinv.data[q][p] for q, r in enumerate(res_rows) if snf.Uinv.data[q][p]}
+                urow = {r: x for r, x in zip(res_rows, snf.U.data[p]) if x}
+                if d:
+                    torsion.append((gen, urow))
+                    divisors.append(d)
+                else:
+                    free.append((gen, urow))
+        self.group = AbelianGroup(len(free), tuple(divisors))
+        self._divisors = divisors + [0] * len(free)
+        self.generators = [gen for gen, _ in torsion + free]
+        self._class_cols: dict[int, dict] = {}
+        for pos, (_, urow) in enumerate(torsion + free):
+            for r, x in urow.items():
+                self._class_cols.setdefault(r, {})[pos] = x
+        # rows of U restricted to the generators, through the row operations backwards
+        for i, u, c in reversed(steps):
+            acc: dict = {}
+            for r, x in c.items():
+                below = self._class_cols.get(r)
+                if below and r != i:
+                    vec_addmul(acc, below, -u * x)
+            if acc:
+                self._class_cols[i] = acc
+
+    def coords(self, vec: dict) -> tuple[int, ...]:
+        """Class of a vector of Z^rows in generator coordinates, torsion
+        coordinates reduced into [0, d)."""
+        out = [0] * len(self.generators)
+        for r, y in vec.items():
+            col = self._class_cols.get(r)
+            if col:
+                for pos, x in col.items():
+                    out[pos] += y * x
+        return tuple(w % d if d else w for w, d in zip(out, self._divisors))
 
 
 def random_unimodular(rng, n: int, steps: int = 12) -> IntMatrix:

@@ -229,7 +229,7 @@ class OmegaComplex:
                     sol = below_ech.solve(db)
                     if sol is None:
                         raise AssertionError("boundary left the allowed chain lattice")
-                    bcols.append({j: c for j, c in enumerate(sol) if c})
+                    bcols.append(sol)
             boundary[n] = bcols
 
         if reduced:
@@ -255,10 +255,7 @@ class OmegaComplex:
             if path not in index:
                 return None
             vec[index[path]] = coeff
-        sol = self._echelons[n].solve(vec)
-        if sol is None:
-            return None
-        return {j: c for j, c in enumerate(sol) if c}
+        return self._echelons[n].solve(vec)
 
     def to_path_chain(self, n: int, vec: dict) -> PathChain:
         out = PathChain(n)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digraph_homology.chains import (
     BoundaryNotSquareZeroError,
@@ -14,7 +16,15 @@ from digraph_homology.chains import (
     verify_exactness,
 )
 from digraph_homology.digraphs import cone, cycle_digraph, suspension
-from digraph_homology.intlinalg import AbelianGroup, IntMatrix, random_unimodular
+from digraph_homology.intlinalg import (
+    AbelianGroup,
+    Echelon,
+    IntMatrix,
+    _snf_full,
+    random_unimodular,
+    sparse_kernel_basis,
+    vec_addmul,
+)
 from digraph_homology.paths import build_omega_complex, build_omega_pair
 
 
@@ -43,6 +53,14 @@ def test_homology_examples():
     # multiplication by 2: cokernel Z/2
     c = two_step([[2]])
     assert homology_of(c, 0) == AbelianGroup(0, (2,))
+
+    # no unit entry: the whole relation matrix goes to the dense Smith form
+    c = two_step([[2, 0, 0], [0, 4, 0], [0, 0, 0]])
+    assert homology_of(c, 0) == AbelianGroup(1, (2, 4))
+
+    # a unit pivot first, then the residual diag(2, 3) with invariant factors 1, 6
+    c = two_step([[1, 0, 0], [5, 2, 0], [0, 0, 3]])
+    assert homology_of(c, 0) == AbelianGroup(0, (6,))
 
     # the allowed-chain complex of the 4-cycle at degree 1
     oc = build_omega_complex(cycle_digraph(4), 2)
@@ -148,6 +166,84 @@ def test_homology_matches_direct_quotient_oracle():
         image = Lattice.from_vectors(m, cols)
         expected = quotient_group(Lattice(m, IntMatrix.identity(m)), image)
         assert got == expected, (entries, got, expected)
+
+
+@st.composite
+def small_complexes(draw):
+    """C2 --d2--> C1 --d1--> C0 with d1 random and d2 = K @ A, K a kernel
+    basis of d1.  Columns of A are scaled by 1, 2 or 3: a scaled column has
+    no unit entry in any basis of the kernel lattice, so the relation
+    matrix of H_1 can leave a residual block for the dense Smith form
+    after its unit pivots, or be all residual."""
+    r0 = draw(st.integers(0, 3))
+    c1 = draw(st.integers(0, 5))
+    d1 = []
+    for _ in range(c1):
+        col = {i: draw(st.integers(-2, 2)) for i in range(r0)}
+        d1.append({i: x for i, x in col.items() if x})
+    kernel = sparse_kernel_basis(d1, r0)
+    c2 = draw(st.integers(0, 4))
+    d2 = []
+    for _ in range(c2):
+        scale = draw(st.sampled_from((1, 1, 2, 3)))
+        col: dict = {}
+        for vec in kernel:
+            vec_addmul(col, vec, scale * draw(st.integers(-3, 3)))
+        d2.append(col)
+    return ChainComplex(
+        {0: [f"a{i}" for i in range(r0)], 1: [f"b{j}" for j in range(c1)], 2: [f"c{j}" for j in range(c2)]},
+        {0: [{} for _ in range(r0)], 1: d1, 2: d2},
+    )
+
+
+def _relation_matrix(hd):
+    """The relation matrix HomologyData reduces: a basis of the image of
+    the boundary into degree n, in coordinates of its kernel basis."""
+    image = Echelon()
+    for col in hd.complex.boundary_cols.get(hd.n + 1, []):
+        if col:
+            image.add(col)
+    k = len(hd._kernel)
+    cols = [hd._kernel.solve(w) for w in image.basis_vectors()]
+    return IntMatrix.from_cols([[c.get(i, 0) for i in range(k)] for c in cols], rows=k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_complexes(), st.randoms(use_true_random=False))
+def test_homology_data_matches_dense_and_sympy_smith_forms(c, rng):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    for n in (0, 1, 2):
+        hd = c.homology(n)
+        rel = _relation_matrix(hd)
+        divisors = _snf_full(rel).divisors
+        expected = AbelianGroup(rel.rows - len(divisors), tuple(d for d in divisors if d > 1))
+        assert hd.group == expected
+        if rel.rows and rel.cols:
+            factors = invariant_factors(sympy.Matrix(rel.data), domain=sympy.ZZ)
+            nonzero = [abs(int(d)) for d in factors if d]
+            assert len(nonzero) == len(divisors)
+            assert tuple(d for d in nonzero if d > 1) == hd.group.torsion
+
+        g = hd.n_generators
+        for j in range(g):
+            assert hd.class_vector(hd.representative(j)) == tuple(int(i == j) for i in range(g))
+        for col in c.boundary_cols.get(n + 1, []):
+            assert hd.class_vector(col) == (0,) * g
+        cycles = sparse_kernel_basis(c.boundary_cols[n], c.dim(n - 1))
+        for _ in range(3):
+            a: dict = {}
+            b: dict = {}
+            for vec in cycles:
+                vec_addmul(a, vec, rng.randint(-3, 3))
+                vec_addmul(b, vec, rng.randint(-3, 3))
+            total = dict(a)
+            vec_addmul(total, b, 1)
+            sum_of_classes = HomologyClass(hd.group, hd.class_vector(a)) + HomologyClass(
+                hd.group, hd.class_vector(b)
+            )
+            assert HomologyClass(hd.group, hd.class_vector(total)) == sum_of_classes
 
 
 def test_pair_les_with_torsion():

@@ -289,6 +289,17 @@ def test_verify_exactness_checks_the_same_degrees_in_both_theories(
     assert degrees == [2, 2]
 
 
+def test_verify_exactness_negative_maxdim_exit_code(capsys, cone_pair_file):
+    for theory in ("path", "cubical"):
+        for maxdim in ("-1", "-5"):
+            code, out, err = run_cli(
+                capsys, "verify", "exactness", cone_pair_file, "--theory", theory, "--maxdim", maxdim
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_exactness_bound_exceeded(tmp_path, capsys):
     # the cone of a 12-cycle has 13 vertices, over the cubical vertex bound
     c12 = relabel_to_strings(cycle_digraph(12))

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from digraph_homology.intlinalg import (
     AbelianGroup,
+    Cokernel,
     Echelon,
     IntMatrix,
     Lattice,
     NotASublatticeError,
+    _snf_full,
     integer_solve,
     kernel_lattice,
     quotient_group,
@@ -208,14 +210,39 @@ def test_echelon_solve():
     e.add({1: 3})
     v = {0: 4, 1: 5}  # 2*(2,1,0...) + 1*(0,3)
     sol = e.solve(v)
-    assert sol is not None
-    pivots = e.pivot_rows()
+    assert sol == {0: 2, 1: 1}  # sparse {basis position: coeff}
+    basis = e.basis_vectors()
     rebuilt = {}
-    for coef, p in zip(sol, pivots):
-        for i, val in e.pivots[p].items():
+    for j, coef in sol.items():
+        for i, val in basis[j].items():
             rebuilt[i] = rebuilt.get(i, 0) + coef * val
     assert {i: v for i, v in rebuilt.items() if v} == v
+    assert e.solve({1: 3}) == {1: 1}  # zero coefficients are left out
     assert e.solve({0: 1}) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices, st.lists(st.sampled_from((1, 1, 2, 3)), min_size=4, max_size=4))
+def test_cokernel_matches_dense_smith_form(m, scales):
+    # a column scaled by 2 or 3 has no unit entry and stays for the residual block
+    cols = [[scales[j] * x for x in m.column(j)] for j in range(m.cols)]
+    q = Cokernel(m.rows, [{i: x for i, x in enumerate(c) if x} for c in cols])
+    divisors = _snf_full(IntMatrix.from_cols(cols, rows=m.rows)).divisors
+    assert q.group == AbelianGroup(m.rows - len(divisors), tuple(d for d in divisors if d > 1))
+    g = q.group.n_generators
+    for j, gen in enumerate(q.generators):
+        assert q.coords(gen) == tuple(int(i == j) for i in range(g))
+    for c in cols:
+        assert q.coords({i: x for i, x in enumerate(c) if x}) == (0,) * g
+
+
+def test_cokernel_pivot_order():
+    # the sparsest column with a unit goes first: column 1 kills row 2, so
+    # column 0 reduces to {0: 1, 1: 1} and kills row 0; row 1 is the generator
+    q = Cokernel(3, [{0: 1, 1: 1, 2: 1}, {2: -1}])
+    assert q.group == AbelianGroup(1)
+    assert q.generators == [{1: 1}]
+    assert q.coords({0: 1}) == (-1,) and q.coords({2: 5}) == (0,)
 
 
 def test_random_unimodular():
