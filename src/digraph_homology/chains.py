@@ -505,17 +505,31 @@ def suspension_composite(
 def cached_builder(maxsize: int):
     """`lru_cache` keyed on the arguments with defaults filled in, so that
     calls spelling the same arguments differently (positional, keyword or
-    omitted) share one entry; `cache_info` and `cache_clear` are kept."""
+    omitted) share one entry; `cache_info` and `cache_clear` are kept.
+    The parameter list and defaults are read once, at decoration."""
 
     def decorate(fn):
-        signature = inspect.signature(fn)
+        parameters = inspect.signature(fn).parameters.values()
+        if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in parameters):
+            raise TypeError("cached builders take positional-or-keyword parameters only")
+        params = [(p.name, p.default) for p in parameters]
         cached = lru_cache(maxsize=maxsize)(fn)
 
         @wraps(fn)
         def builder(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            return cached(*bound.args)
+            if len(args) > len(params):
+                raise TypeError(f"{fn.__name__}() takes at most {len(params)} arguments")
+            key = list(args)
+            for name, default in params[len(args) :]:
+                value = kwargs.pop(name, default)
+                if value is inspect.Parameter.empty:
+                    raise TypeError(f"{fn.__name__}() missing argument {name!r}")
+                key.append(value)
+            if kwargs:
+                raise TypeError(
+                    f"{fn.__name__}() got unexpected or repeated arguments {sorted(kwargs)}"
+                )
+            return cached(*key)
 
         builder.cache_info = cached.cache_info
         builder.cache_clear = cached.cache_clear

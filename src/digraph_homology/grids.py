@@ -11,11 +11,23 @@ shrinking maps, concatenation products, axis reversal, one-step direct
 homotopy, homotopy-certificate verification, the cell decomposition into
 signed singular cubes with its induced homology classes, the degree-1
 edge-chain formula, and minimal-path collapse.
+
+Grid walks read the flat row-major `values` at offsets from the strides
+each map keeps: through per-axis position tables (`_positions`) and, for
+cells, per-strides corner offset tables (`_cell_offsets`).
+
+Validation contract: `grid_map_violation` is the one validity check, and
+public entry points run it once on each input map.  A subdivision of a
+valid map is valid by construction (shrinking maps are digraph maps that
+keep boundaries and far faces), so certificate steps do not re-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from math import prod
 from typing import Optional, Sequence
 
 from .chains import HomologyClass
@@ -72,7 +84,8 @@ class GridMap:
     """Values of a digraph map on a box of line digraphs, row-major.
 
     `axes[k]` describes the k-th line digraph; `values` is the flat
-    row-major array over the (m_1+1) x ... x (m_n+1) index box.
+    row-major array over the (m_1+1) x ... x (m_n+1) index box.  The shape
+    and the row-major strides are computed once, at construction.
     """
 
     axes: tuple[LineSpec, ...]
@@ -85,10 +98,13 @@ class GridMap:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ModeMismatchError(f"unknown mode {self.mode!r}")
-        if len(self.values) != self.size:
+        shape = tuple(ax.length + 1 for ax in self.axes)
+        if len(self.values) != prod(shape):
             raise ShapeMismatchError(
-                f"value array has {len(self.values)} entries; expected {self.size}"
+                f"value array has {len(self.values)} entries; expected {prod(shape)}"
             )
+        object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_strides", tuple(prod(shape[k + 1 :]) for k in range(len(shape))))
 
     @property
     def dims(self) -> int:
@@ -100,14 +116,11 @@ class GridMap:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(ax.length + 1 for ax in self.axes)
+        return self._shape
 
     @property
     def size(self) -> int:
-        total = 1
-        for s in self.shape:
-            total *= s
-        return total
+        return len(self.values)
 
     @property
     def is_standard(self) -> bool:
@@ -119,27 +132,18 @@ class GridMap:
         if len(idx) != self.dims:
             raise CoordinateOutOfRangeError("index arity mismatch")
         flat = 0
-        for i, s in zip(idx, self.shape):
+        for i, s, stride in zip(idx, self._shape, self._strides):
             if not 0 <= i < s:
                 raise CoordinateOutOfRangeError(f"index {tuple(idx)} outside grid")
-            flat = flat * s + i
+            flat += i * stride
         return flat
 
     def value(self, idx: Sequence[int]):
         return self.values[self.flat_index(idx)]
 
     def indices(self):
-        shape = self.shape
-        n = self.dims
-        idx = [0] * n
-        total = self.size
-        for _ in range(total):
-            yield tuple(idx)
-            for k in range(n - 1, -1, -1):
-                idx[k] += 1
-                if idx[k] < shape[k]:
-                    break
-                idx[k] = 0
+        """Index tuples in row-major order, the order of `values`."""
+        return product(*map(range, self._shape))
 
     def with_values(self, values) -> "GridMap":
         return GridMap(self.axes, tuple(values), self.target, self.mode, self.base, self.sub)
@@ -174,38 +178,49 @@ def on_collapsed_part(idx: Sequence[int], lengths: Sequence[int]) -> bool:
     return any(i == 0 or i == m for i, m in zip(idx[1:], lengths[1:]))
 
 
+def _arrow_images(f: GridMap):
+    """(index, axis, (source value, target value)) for every arrow of the
+    grid, by tail position in row-major order and then by axis."""
+    values = f.values
+    # per axis: its stride and, per coordinate, whether the arrow to the
+    # next coordinate points forward (None at the far end)
+    steps = [
+        (k, stride, [ax.forward_at(i) for i in range(ax.length)] + [None])
+        for k, (ax, stride) in enumerate(zip(f.axes, f._strides))
+    ]
+    for p, idx in enumerate(f.indices()):
+        a = values[p]
+        for k, stride, forward in steps:
+            fw = forward[idx[k]]
+            if fw is not None:
+                b = values[p + stride]
+                yield idx, k, (a, b) if fw else (b, a)
+
+
 def grid_map_violation(f: GridMap) -> Optional[str]:
     """First violated grid-map condition as a message, else None."""
     g = f.target
-    for v in f.values:
+    values = f.values
+    for v in values:
         if not g.has_vertex(v):
             return f"value {v!r} is not a vertex of the target"
-    lengths = f.lengths
-    for idx in f.indices():
-        for k in range(f.dims):
-            if idx[k] >= lengths[k]:
-                continue
-            nxt = list(idx)
-            nxt[k] += 1
-            if f.axes[k].forward_at(idx[k]):
-                src, dst = f.value(idx), f.value(nxt)
-            else:
-                src, dst = f.value(nxt), f.value(idx)
-            if src != dst and not g.has_arrow(src, dst):
-                return (
-                    f"axis {k + 1} arrow at {tuple(idx)} maps to "
-                    f"{src!r} -> {dst!r}, which is not an arrow"
-                )
+    for idx, k, (src, dst) in _arrow_images(f):
+        if src != dst and not g.has_arrow(src, dst):
+            return (
+                f"axis {k + 1} arrow at {idx} maps to "
+                f"{src!r} -> {dst!r}, which is not an arrow"
+            )
     if f.mode == "absolute":
         return None
     if f.base is None:
         return "pair/triple mode requires a basepoint"
     if not g.has_vertex(f.base):
         return f"basepoint {f.base!r} is not a vertex of the target"
+    lengths = f.lengths
     if f.mode == "pair":
-        for idx in f.indices():
-            if on_outer_boundary(idx, lengths) and f.value(idx) != f.base:
-                return f"boundary vertex {idx} maps to {f.value(idx)!r}, not the basepoint"
+        for v, idx in zip(values, f.indices()):
+            if v != f.base and on_outer_boundary(idx, lengths):
+                return f"boundary vertex {idx} maps to {v!r}, not the basepoint"
         return None
     # triple mode
     if f.sub is None:
@@ -216,37 +231,23 @@ def grid_map_violation(f: GridMap) -> Optional[str]:
         return "the constraint subdigraph is not a subdigraph of the target"
     if not f.sub.has_vertex(f.base):
         return "basepoint must lie in the constraint subdigraph"
-    for idx in f.indices():
-        if on_collapsed_part(idx, lengths) and f.value(idx) != f.base:
-            return f"vertex {idx} on the collapsed part maps to {f.value(idx)!r}, not the basepoint"
-        if on_outer_boundary(idx, lengths) and not f.sub.has_vertex(f.value(idx)):
+    for v, idx in zip(values, f.indices()):
+        if v != f.base and on_collapsed_part(idx, lengths):
+            return f"vertex {idx} on the collapsed part maps to {v!r}, not the basepoint"
+        if on_outer_boundary(idx, lengths) and not f.sub.has_vertex(v):
             return f"boundary vertex {idx} maps outside the constraint subdigraph"
-    # boundary arrows must map into the subdigraph (or collapse)
-    for idx in f.indices():
-        if not on_outer_boundary(idx, lengths):
-            continue
-        for k in range(f.dims):
-            if idx[k] >= lengths[k]:
-                continue
-            nxt = list(idx)
-            nxt[k] += 1
-            if not on_outer_boundary(nxt, lengths):
-                continue
-            # the arrow joins two boundary vertices; it lies in the grid
-            # boundary iff some other coordinate is extreme for both
-            if not any(
-                j != k and (idx[j] == 0 or idx[j] == lengths[j]) for j in range(f.dims)
-            ):
-                continue
-            if f.axes[k].forward_at(idx[k]):
-                src, dst = f.value(idx), f.value(tuple(nxt))
-            else:
-                src, dst = f.value(tuple(nxt)), f.value(idx)
-            if src != dst and not f.sub.has_arrow(src, dst):
-                return (
-                    f"boundary arrow at {tuple(idx)} maps to {src!r} -> {dst!r}, "
-                    "which is not an arrow of the constraint subdigraph"
-                )
+    # boundary arrows must map into the subdigraph (or collapse); an arrow
+    # lies in the grid boundary iff some other coordinate is extreme
+    for idx, k, (src, dst) in _arrow_images(f):
+        if (
+            src != dst
+            and any(j != k and (i == 0 or i == m) for j, (i, m) in enumerate(zip(idx, lengths)))
+            and not f.sub.has_arrow(src, dst)
+        ):
+            return (
+                f"boundary arrow at {idx} maps to {src!r} -> {dst!r}, "
+                "which is not an arrow of the constraint subdigraph"
+            )
     return None
 
 
@@ -268,11 +269,12 @@ def constant_grid_map(
     sub: Optional[Digraph] = None,
 ) -> GridMap:
     axes = tuple(standard_line(m) for m in lengths)
-    size = 1
-    for m in lengths:
-        size *= m + 1
     base = value if mode in ("pair", "triple") else None
-    return GridMap(axes, (value,) * size, target, mode, base, sub)
+    return GridMap(axes, (value,) * _size_of(lengths), target, mode, base, sub)
+
+
+def _size_of(lengths: Sequence[int]) -> int:
+    return prod(m + 1 for m in lengths)
 
 
 # --- extension, subdivision, products ---------------------------------------
@@ -290,27 +292,31 @@ def extend(f: GridMap, lengths: Sequence[int]) -> GridMap:
         raise NotMonotoneShapeError("extension lengths must be even")
     if not f.is_standard:
         raise NotMonotoneShapeError("extension requires standard axes")
-    corner = f.value(f.lengths)
-    axes = tuple(standard_line(s) for s in lengths)
     old = f.lengths
-    values = []
-    out = GridMap(axes, (corner,) * _size_of(lengths), f.target, f.mode, f.base, f.sub)
-    for idx in out.indices():
-        if all(i <= m for i, m in zip(idx, old)):
-            values.append(f.value(idx))
-        else:
-            values.append(corner)
-    result = out.with_values(values)
+    size = f.size
+    corner = f.values[-1]
+    # a coordinate past the old block reads as `size`, which puts every
+    # point outside the old block past the end of f.values
+    positions = _positions(
+        [[i if i <= m else size for i in range(s + 1)] for s, m in zip(lengths, old)],
+        f._strides,
+    )
+    values = tuple(f.values[p] if p < size else corner for p in positions)
+    result = GridMap(
+        tuple(standard_line(s) for s in lengths), values, f.target, f.mode, f.base, f.sub
+    )
     if lengths != old:
         require_valid(result)
     return result
 
 
-def _size_of(lengths: Sequence[int]) -> int:
-    total = 1
-    for m in lengths:
-        total *= m + 1
-    return total
+def _positions(tables: Sequence[Sequence[int]], strides: Sequence[int]) -> list[int]:
+    """Flat positions of the box of per-axis coordinate tables, in row-major
+    order: the point (i_1, ..., i_n) goes to sum tables[k][i_k] * strides[k]."""
+    out = [0]
+    for table, stride in zip(tables, strides):
+        out = [p + i * stride for p in out for i in table]
+    return out
 
 
 @dataclass(frozen=True)
@@ -397,15 +403,15 @@ def subdivide(f: GridMap, h: ShrinkingMap) -> GridMap:
         raise ShapeMismatchError("dimension mismatch")
     if h.target_axes != f.axes:
         raise ShapeMismatchError("shrinking map target does not match the grid")
-    out = GridMap(
+    values = f.values
+    return GridMap(
         h.source_axes,
-        (f.values[0],) * _size_of(tuple(ax.length for ax in h.source_axes)),
+        tuple([values[p] for p in _positions(h.tables, f._strides)]),
         f.target,
         f.mode,
         f.base,
         f.sub,
     )
-    return out.with_values([f.value(h.apply(idx)) for idx in out.indices()])
 
 
 def concat_mu(j: int, f: GridMap, g: GridMap) -> GridMap:
@@ -416,12 +422,7 @@ def concat_mu(j: int, f: GridMap, g: GridMap) -> GridMap:
         raise ModeMismatchError("factors must share target, mode, basepoint and subdigraph")
     if f.dims != g.dims:
         raise ShapeMismatchError("dimension mismatch")
-    n = f.dims
-    lo = 2 if f.mode == "triple" else 1
-    if not lo <= j <= n:
-        raise CoordinateOutOfRangeError(
-            f"coordinate {j} outside the legal range {lo}..{n} for mode {f.mode!r}"
-        )
+    _require_coordinate(j, f)
     if not (f.is_standard and g.is_standard):
         raise OddLengthAxisError("concatenation requires standard even-length grids")
     k = j - 1
@@ -433,50 +434,52 @@ def concat_mu(j: int, f: GridMap, g: GridMap) -> GridMap:
     g_shape[k] = gl[k]
     fe = extend(f, f_shape)
     ge = extend(g, g_shape)
-    seam = fl[k]
     out_lengths = padded.copy()
     out_lengths[k] = fl[k] + gl[k]
-    axes = tuple(standard_line(m) for m in out_lengths)
+    # both factors have the same shape off axis k, so each row-major block
+    # of axes k..n of the product is f's block followed by g's block
+    # without its start face, which must equal f's end face
+    face = fe._strides[k]
+    f_block = (fl[k] + 1) * face
+    g_block = (gl[k] + 1) * face
     values = []
-    out = GridMap(
-        axes, (fe.values[0],) * _size_of(out_lengths), f.target, f.mode, f.base, f.sub
+    for r in range(fe.size // f_block):
+        f_part = fe.values[r * f_block : (r + 1) * f_block]
+        g_part = ge.values[r * g_block : (r + 1) * g_block]
+        if f_part[-face:] != g_part[:face]:
+            raise ModeMismatchError(
+                "end face of the first factor does not match the start face "
+                "of the second"
+            )
+        values.extend(f_part + g_part[face:])
+    result = GridMap(
+        tuple(standard_line(m) for m in out_lengths), tuple(values), f.target, f.mode, f.base, f.sub
     )
-    for idx in out.indices():
-        if idx[k] <= seam:
-            values.append(fe.value(idx))
-        else:
-            shifted = list(idx)
-            shifted[k] -= seam
-            values.append(ge.value(shifted))
-    for idx in out.indices():
-        if idx[k] == seam:
-            shifted = list(idx)
-            shifted[k] = 0
-            if fe.value(idx) != ge.value(shifted):
-                raise ModeMismatchError(
-                    "end face of the first factor does not match the start face "
-                    "of the second"
-                )
-    result = out.with_values(values)
     require_valid(result)
     return result
+
+
+def _require_coordinate(j: int, f: GridMap) -> None:
+    """Triple mode fixes axis 1 (its far face collapses), so only axes
+    2..n may be concatenated along or reversed there."""
+    lo = 2 if f.mode == "triple" else 1
+    if not lo <= j <= f.dims:
+        raise CoordinateOutOfRangeError(
+            f"coordinate {j} outside the legal range {lo}..{f.dims} for mode {f.mode!r}"
+        )
 
 
 def inverse_j(j: int, f: GridMap) -> GridMap:
     """Reverse the j-th coordinate (1-based); even length keeps the
     standard pattern."""
-    if not 1 <= j <= f.dims:
-        raise CoordinateOutOfRangeError(f"coordinate {j} out of range")
+    _require_coordinate(j, f)
     k = j - 1
-    if f.axes[k].length % 2:
-        raise OddLengthAxisError("axis reversal needs an even length")
     m = f.axes[k].length
-    values = []
-    for idx in f.indices():
-        src = list(idx)
-        src[k] = m - src[k]
-        values.append(f.value(src))
-    result = f.with_values(values)
+    if m % 2:
+        raise OddLengthAxisError("axis reversal needs an even length")
+    tables = [range(ax.length + 1) for ax in f.axes]
+    tables[k] = range(m, -1, -1)
+    result = f.with_values([f.values[p] for p in _positions(tables, f._strides)])
     require_valid(result)
     return result
 
@@ -488,21 +491,29 @@ def direct_homotopy(f: GridMap, g: GridMap) -> frozenset:
     """One-step homotopy relations between equal-shaped grid maps:
     subset of {"fwd", "bwd"}; "fwd" means every vertex satisfies
     f(v) -> g(v) or f(v) = g(v), with the constrained set fixed."""
+    _require_comparable(f, g)
+    require_valid(f)
+    require_valid(g)
+    return _relation(f, g)
+
+
+def _require_comparable(f: GridMap, g: GridMap) -> None:
     if f.axes != g.axes:
         raise ShapeMismatchError("grids must have identical axes")
     if f.mode != g.mode or f.target != g.target or f.base != g.base or f.sub != g.sub:
         raise ModeMismatchError("grids must share target, mode, basepoint and subdigraph")
-    require_valid(f)
-    require_valid(g)
+
+
+def _relation(f: GridMap, g: GridMap) -> frozenset:
+    """`direct_homotopy` of two comparable maps, taken as valid."""
     lengths = f.lengths
     t = f.target
     fwd = True
     bwd = True
-    for idx in f.indices():
-        a, b = f.value(idx), g.value(idx)
+    for idx, a, b in zip(f.indices(), f.values, g.values):
         if a == b:
             continue
-        if f.mode in ("pair", "triple") and on_outer_boundary(idx, lengths):
+        if f.mode != "absolute" and on_outer_boundary(idx, lengths):
             # the constrained set must stay fixed through the homotopy
             return frozenset()
         if not t.has_arrow(a, b):
@@ -528,13 +539,23 @@ def verify_one_step(
 ) -> bool:
     """True iff the given subdivisions of f and g are related by a direct
     homotopy in the claimed direction."""
+    require_valid(f)
+    require_valid(g)
+    return _step_holds(f, g, shrink_f, shrink_g, direction)
+
+
+def _step_holds(
+    f: GridMap, g: GridMap, shrink_f: ShrinkingMap, shrink_g: ShrinkingMap, direction: str
+) -> bool:
+    """`verify_one_step` of maps taken as valid."""
     if direction not in ("fwd", "bwd"):
         raise ValueError("direction must be 'fwd' or 'bwd'")
     fbar = subdivide(f, shrink_f)
     gbar = subdivide(g, shrink_g)
     if fbar.axes != gbar.axes:
         raise ShapeMismatchError("subdivided grids do not share a shape")
-    return direction in direct_homotopy(fbar, gbar)
+    _require_comparable(fbar, gbar)
+    return direction in _relation(fbar, gbar)
 
 
 @dataclass(frozen=True)
@@ -552,9 +573,15 @@ class CertificateStep:
 def verify_homotopy_certificate(
     f: GridMap, g: GridMap, steps: Sequence[CertificateStep]
 ) -> bool:
-    """Chain the one-step checks across the certificate from f to g."""
+    """Chain the one-step checks across the certificate from f to g.
+
+    f, g and every step's `next_map` are checked once, up front; an
+    invalid map makes the certificate fail."""
     if not steps:
         return f == g
+    maps = [f, g] + [step.next_map for step in steps if step.next_map is not None]
+    if any(grid_map_violation(h) is not None for h in maps):
+        return False
     current = f
     for pos, step in enumerate(steps):
         last = pos == len(steps) - 1
@@ -564,7 +591,7 @@ def verify_homotopy_certificate(
         left = step.left if step.left is not None else ShrinkingMap.identity(current.axes)
         right = step.right if step.right is not None else ShrinkingMap.identity(nxt.axes)
         try:
-            if not verify_one_step(current, nxt, left, right, step.direction):
+            if not _step_holds(current, nxt, left, right, step.direction):
                 return False
         except GridError:
             return False
@@ -581,36 +608,22 @@ def find_certificate(
     found within the bound (which proves nothing)."""
     if f.dims != g.dims:
         return None
+    require_valid(f)
+    require_valid(g)
 
     def axis_tables(m_src: int, m_dst: int) -> list[tuple[int, ...]]:
-        tables: list[tuple[int, ...]] = []
-
-        def walk(tab):
-            i = len(tab) - 1
-            if i == m_src:
-                if tab[-1] == m_dst:
-                    tables.append(tuple(tab))
-                return
-            for step in (0, 1):
-                val = tab[-1] + step
-                if val > m_dst:
-                    continue
-                if m_dst - val > m_src - i - 1:
-                    continue
-                if step == 1:
-                    src = standard_line(m_src)
-                    dst = standard_line(m_dst)
-                    if src.arrow(i) == (i, i + 1):
-                        if dst.arrow(tab[-1]) != (tab[-1], tab[-1] + 1):
-                            continue
-                    else:
-                        if dst.arrow(tab[-1]) != (tab[-1] + 1, tab[-1]):
-                            continue
-                tab.append(val)
-                walk(tab)
-                tab.pop()
-
-        walk([0])
+        """Standard-line shrinking tables from length m_src onto m_dst, in
+        lexicographic order: a step at position i is a digraph map iff i
+        and the value there have the same parity."""
+        tables = [(0,)]
+        for i in range(m_src):
+            tables = [
+                tab + (tab[-1] + step,)
+                for tab in tables
+                for step in (0, 1)
+                if 0 <= m_dst - tab[-1] - step <= m_src - i - 1
+                and (step == 0 or tab[-1] % 2 == i % 2)
+            ]
         return tables
 
     for factor in range(1, max_factor + 1):
@@ -630,13 +643,14 @@ def find_certificate(
                     out = out[:limit]
             return out
 
+        g_shrinks = [ShrinkingMap.from_tables(tg) for tg in combos(per_axis_g)]
+        g_subdivisions = [(hg, subdivide(g, hg)) for hg in g_shrinks]
         for tf in combos(per_axis_f):
             hf = ShrinkingMap.from_tables(tf)
             fbar = subdivide(f, hf)
-            for tg in combos(per_axis_g):
-                hg = ShrinkingMap.from_tables(tg)
-                gbar = subdivide(g, hg)
-                rel = direct_homotopy(fbar, gbar)
+            for hg, gbar in g_subdivisions:
+                _require_comparable(fbar, gbar)
+                rel = _relation(fbar, gbar)
                 if "fwd" in rel:
                     return [CertificateStep(hf, hg, "fwd")]
                 if "bwd" in rel:
@@ -658,42 +672,40 @@ def hurewicz_chain(f: GridMap) -> CubicalChain:
     n = f.dims
     if n == 0:
         raise WrongDimensionError("cell decomposition needs dimension >= 1")
+    # each cell by the flat position of its low corner and by its forward
+    # pattern, bit n - 1 - k set iff its axis-(k + 1) arrow points forward
+    origins = _positions([range(ax.length) for ax in f.axes], f._strides)
+    patterns = _positions(
+        [[ax.forward_at(i) for i in range(ax.length)] for ax in f.axes],
+        [1 << (n - 1 - k) for k in range(n)],
+    )
+    corners = _cell_offsets(f._strides)
+    values, target = f.values, f.target
     terms: dict[SingularCube, int] = {}
-    lengths = f.lengths
-    cells = [[i for i in range(m)] for m in lengths]
-
-    def walk(prefix):
-        if len(prefix) == n:
-            _add_cell(f, prefix, terms)
-            return
-        for i in cells[len(prefix)]:
-            walk(prefix + (i,))
-
-    walk(())
+    for origin, pattern in zip(origins, patterns):
+        offsets, sign = corners[pattern]
+        cube = SingularCube(n, tuple([values[origin + d] for d in offsets]), target)
+        terms[cube] = terms.get(cube, 0) + sign
     return CubicalChain(n, terms)
 
 
-def _add_cell(f: GridMap, cell: tuple[int, ...], terms: dict) -> None:
-    n = f.dims
-    sign = 1
-    forward = []
-    for k, i in enumerate(cell):
-        fw = f.axes[k].forward_at(i)
-        forward.append(fw)
-        if not fw:
-            sign = -sign
-    vals = []
-    for c in range(2**n):
-        idx = []
-        for k in range(n):
-            bit = (c >> (n - 1 - k)) & 1
-            if forward[k]:
-                idx.append(cell[k] + bit)
-            else:
-                idx.append(cell[k] + 1 - bit)
-        vals.append(f.value(idx))
-    cube = SingularCube(n, tuple(vals), f.target)
-    terms[cube] = terms.get(cube, 0) + sign
+@lru_cache(maxsize=256)
+def _cell_offsets(strides: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Corner tables of the unit cells of a grid with these strides, one per
+    forward pattern (see `hurewicz_chain`): the flat offsets from the cell's
+    low corner of the cube's 2^n corners in binary-counter order, each
+    coordinate read forward or backward as the cell's arrow points, and the
+    sign (-1)^(number of backward axes)."""
+    n = len(strides)
+    tables = []
+    for pattern in range(2**n):
+        forward = [(pattern >> (n - 1 - k)) & 1 for k in range(n)]
+        offsets = tuple(
+            sum(s * (bit if fw else 1 - bit) for s, bit, fw in zip(strides, corner, forward))
+            for corner in product((0, 1), repeat=n)
+        )
+        tables.append((offsets, (-1) ** (n - sum(forward))))
+    return tuple(tables)
 
 
 def hurewicz_class(
@@ -734,14 +746,11 @@ def loop_h_prime(f: GridMap) -> PathChain:
         raise WrongDimensionError("the edge-chain formula applies to based loops")
     require_valid(f)
     spec = f.axes[0]
+    values = f.values
     terms: dict[tuple, int] = {}
     for i in range(spec.length):
-        if spec.forward_at(i):
-            path = (f.value((i,)), f.value((i + 1,)))
-            s = 1
-        else:
-            path = (f.value((i + 1,)), f.value((i,)))
-            s = -1
+        a, b = values[i], values[i + 1]
+        path, s = ((a, b), 1) if spec.forward_at(i) else ((b, a), -1)
         if is_regular(path):
             terms[path] = terms.get(path, 0) + s
     return PathChain(1, terms)

@@ -1,10 +1,15 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digraph_homology import grids
 from digraph_homology.cubes import (
+    CubicalChain,
+    SingularCube,
     build_cubical_complex,
     build_cubical_pair,
     comparison_L,
@@ -428,3 +433,264 @@ def test_builders_share_cache_entries_across_spellings():
     assert build_omega_complex(C4, maxdeg=2, reduced=False) is oc
     pair = build_omega_pair(cone(C4, "+a"), C4, 2)
     assert pair.sub is oc
+
+
+# --- flat-offset kernel against per-index references --------------------------
+
+COMPLETE = build_digraph(range(4), [(i, j) for i in range(4) for j in range(4) if i != j])
+COMPLETE_SUB = build_digraph(range(2), [(0, 1), (1, 0)])
+
+
+def free_grid_map(rng: random.Random, specs, mode: str) -> GridMap:
+    """A valid grid map on lines of any orientation into the complete
+    digraph on 4 vertices: values are free up to the mode's conditions."""
+    lengths = [ax.length for ax in specs]
+    template = GridMap(tuple(specs), (0,) * grids._size_of(lengths), COMPLETE)
+    values = []
+    for idx in template.indices():
+        if mode == "pair" and grids.on_outer_boundary(idx, lengths):
+            values.append(0)
+        elif mode == "triple" and grids.on_collapsed_part(idx, lengths):
+            values.append(0)
+        elif mode == "triple" and grids.on_outer_boundary(idx, lengths):
+            values.append(rng.randrange(2))
+        else:
+            values.append(rng.randrange(4))
+    base = None if mode == "absolute" else 0
+    sub = COMPLETE_SUB if mode == "triple" else None
+    return GridMap(tuple(specs), tuple(values), COMPLETE, mode, base, sub)
+
+
+def reference_hurewicz_terms(f: GridMap) -> list:
+    """The cell decomposition read corner by corner through `value`."""
+    n = f.dims
+    terms: dict = {}
+    for cell in itertools.product(*(range(m) for m in f.lengths)):
+        forward = [f.axes[k].forward_at(i) for k, i in enumerate(cell)]
+        corners = []
+        for c in range(2**n):
+            bits = [(c >> (n - 1 - k)) & 1 for k in range(n)]
+            idx = [i + (b if fw else 1 - b) for i, b, fw in zip(cell, bits, forward)]
+            corners.append(f.value(idx))
+        cube = SingularCube(n, tuple(corners), f.target)
+        terms[cube] = terms.get(cube, 0) + (-1) ** forward.count(False)
+    return list(CubicalChain(n, terms).terms.items())
+
+
+def test_hurewicz_chain_matches_per_corner_reference():
+    rng = random.Random(61)
+    for n in range(1, 5):
+        for mode in grids.MODES:
+            for trial in range(6):
+                specs = []
+                for _ in range(n):
+                    m = rng.randint(1, 4 if n < 3 else 2)
+                    pattern = "".join(rng.choice("FB") for _ in range(m))
+                    specs.append(standard_line(m) if trial % 2 else LineSpec(m, pattern))
+                f = free_grid_map(rng, specs, mode)
+                assert grid_map_violation(f) is None
+                assert list(hurewicz_chain(f).terms.items()) == reference_hurewicz_terms(f)
+
+
+def reference_violation(f: GridMap):
+    """Per-index copy of the grid-map conditions, read through `value`."""
+    g = f.target
+    for v in f.values:
+        if not g.has_vertex(v):
+            return f"value {v!r} is not a vertex of the target"
+    lengths = f.lengths
+    for idx in f.indices():
+        for k in range(f.dims):
+            if idx[k] >= lengths[k]:
+                continue
+            nxt = list(idx)
+            nxt[k] += 1
+            if f.axes[k].forward_at(idx[k]):
+                src, dst = f.value(idx), f.value(nxt)
+            else:
+                src, dst = f.value(nxt), f.value(idx)
+            if src != dst and not g.has_arrow(src, dst):
+                return (
+                    f"axis {k + 1} arrow at {tuple(idx)} maps to "
+                    f"{src!r} -> {dst!r}, which is not an arrow"
+                )
+    if f.mode == "absolute":
+        return None
+    if f.base is None:
+        return "pair/triple mode requires a basepoint"
+    if not g.has_vertex(f.base):
+        return f"basepoint {f.base!r} is not a vertex of the target"
+    if f.mode == "pair":
+        for idx in f.indices():
+            if grids.on_outer_boundary(idx, lengths) and f.value(idx) != f.base:
+                return f"boundary vertex {idx} maps to {f.value(idx)!r}, not the basepoint"
+        return None
+    if f.sub is None:
+        return "triple mode requires a subdigraph"
+    if not (set(f.sub.vertices) <= set(g.vertices) and set(f.sub.arrows) <= set(g.arrows)):
+        return "the constraint subdigraph is not a subdigraph of the target"
+    if not f.sub.has_vertex(f.base):
+        return "basepoint must lie in the constraint subdigraph"
+    for idx in f.indices():
+        if grids.on_collapsed_part(idx, lengths) and f.value(idx) != f.base:
+            return f"vertex {idx} on the collapsed part maps to {f.value(idx)!r}, not the basepoint"
+        if grids.on_outer_boundary(idx, lengths) and not f.sub.has_vertex(f.value(idx)):
+            return f"boundary vertex {idx} maps outside the constraint subdigraph"
+    for idx in f.indices():
+        if not grids.on_outer_boundary(idx, lengths):
+            continue
+        for k in range(f.dims):
+            if idx[k] >= lengths[k]:
+                continue
+            nxt = list(idx)
+            nxt[k] += 1
+            if not grids.on_outer_boundary(nxt, lengths):
+                continue
+            if not any(j != k and idx[j] in (0, lengths[j]) for j in range(f.dims)):
+                continue
+            if f.axes[k].forward_at(idx[k]):
+                src, dst = f.value(idx), f.value(tuple(nxt))
+            else:
+                src, dst = f.value(tuple(nxt)), f.value(idx)
+            if src != dst and not f.sub.has_arrow(src, dst):
+                return (
+                    f"boundary arrow at {tuple(idx)} maps to {src!r} -> {dst!r}, "
+                    "which is not an arrow of the constraint subdigraph"
+                )
+    return None
+
+
+CONE_C4 = cone(C4, "+a")
+SHAPES = ((2,), (4,), (2, 2), (4, 2), (2, 4), (2, 2, 2))
+
+
+def random_valid_map(rng: random.Random, mode: str, lengths) -> GridMap:
+    """A random valid map, or the constant map when the fill finds none."""
+    if mode == "triple":
+        target, sub = CONE_C4, C4
+    else:
+        target, sub = random_digraph(rng, max_vertices=4, max_arrows=8, min_vertices=2), None
+    f = random_grid_map(rng, target, 0, lengths, mode, sub, tries=20)
+    return f if f is not None else constant_grid_map(target, 0, lengths, mode, sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(grids.MODES),
+    st.sampled_from(SHAPES),
+    st.integers(1, 4),
+)
+def test_grid_map_violation_matches_per_index_reference(rng, mode, lengths, mutations):
+    f = random_valid_map(rng, mode, lengths)
+    assert grid_map_violation(f) == reference_violation(f) is None
+    # mutate boundary positions half of the time, where most conditions live
+    boundary = [p for p, idx in enumerate(f.indices()) if grids.on_outer_boundary(idx, lengths)]
+    values = list(f.values)
+    for _ in range(mutations):
+        p = rng.choice(boundary) if rng.random() < 0.5 else rng.randrange(len(values))
+        values[p] = rng.choice(f.target.vertices)
+        g = f.with_values(values)
+        assert grid_map_violation(g) == reference_violation(g)
+    values[rng.randrange(len(values))] = rng.choice([*f.target.vertices, "zz"])
+    # non-standard orientations and broken mode data, read through the same check
+    specs = tuple(LineSpec(m, "".join(rng.choice("FB") for _ in range(m))) for m in lengths)
+    h = GridMap(
+        rng.choice([specs, f.axes]),
+        tuple(values),
+        f.target,
+        f.mode,
+        rng.choice([f.base, None, "zz"]),
+        rng.choice([f.sub, None, COMPLETE_SUB, f.target, build_digraph(f.target.vertices, [])]),
+    )
+    assert grid_map_violation(h) == reference_violation(h)
+
+
+def test_grid_map_violation_matches_reference_on_every_single_change():
+    triple = cone_triple_map(winding())
+    discrete = build_digraph(C4.vertices, [])
+    maps = [
+        winding(),
+        constant_grid_map(C4, 0, (2, 2)),
+        triple,
+        GridMap(triple.axes, triple.values, triple.target, "triple", triple.base, discrete),
+    ]
+    for f in maps:
+        for p in range(f.size):
+            for v in f.target.vertices:
+                values = list(f.values)
+                values[p] = v
+                g = f.with_values(values)
+                assert grid_map_violation(g) == reference_violation(g)
+
+
+def random_shrink_onto(draw_bits, axes) -> ShrinkingMap:
+    """A shrinking map onto the given lines: a walk that stays (with an
+    arrow of either direction) or advances along the target's arrow, at
+    most 2m + 4 steps onto a line of length m."""
+    sources, tables = [], []
+    for dst in axes:
+        tab, pattern = [0], ""
+        while tab[-1] < dst.length or (len(pattern) < 2 * dst.length + 4 and draw_bits(2) == 3):
+            if tab[-1] < dst.length and (len(pattern) >= 2 * dst.length + 4 or not draw_bits(1)):
+                pattern += dst.pattern[tab[-1]]
+                tab.append(tab[-1] + 1)
+            else:
+                pattern += "FB"[draw_bits(1)]
+                tab.append(tab[-1])
+        sources.append(LineSpec(len(pattern), pattern))
+        tables.append(tuple(tab))
+    return ShrinkingMap(tuple(sources), tuple(axes), tuple(tables))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(grids.MODES), st.sampled_from(SHAPES))
+def test_subdivision_of_a_valid_map_is_valid(rng, mode, lengths):
+    f = random_valid_map(rng, mode, lengths)
+    h = random_shrink_onto(rng.getrandbits, f.axes)
+    assert grid_map_violation(subdivide(f, h)) is None
+
+
+def test_inverse_rejects_the_collapsed_axis_in_triple_mode():
+    rng = random.Random(0)
+    for _ in range(30):
+        f = random_grid_map(rng, CONE_C4, 0, (2, 2), "triple", C4, tries=20)
+        if f is None:
+            continue
+        with pytest.raises(CoordinateOutOfRangeError, match="legal range 2..2"):
+            inverse_j(1, f)
+        assert validate_grid_map(inverse_j(2, f))
+    f = cone_triple_map(winding())
+    with pytest.raises(CoordinateOutOfRangeError):
+        inverse_j(1, f)
+    assert inverse_j(2, inverse_j(2, f)) == f
+
+
+def test_certificate_entry_points_validate_each_map_once(monkeypatch):
+    calls = []
+    check = grids.grid_map_violation
+
+    def counted(f):
+        calls.append(f)
+        return check(f)
+
+    monkeypatch.setattr(grids, "grid_map_violation", counted)
+    rng = random.Random(5)
+    f = winding()
+    g, cert = random_certificate_chain(rng, f, max_steps=3)
+    calls.clear()
+    assert verify_homotopy_certificate(f, g, cert)
+    assert len(calls) == 2 + sum(step.next_map is not None for step in cert)
+
+    c2 = constant_grid_map(C4, 0, (2,))
+    c4m = extend(c2, (4,))
+    calls.clear()
+    assert find_certificate(c2, c4m) is not None
+    assert len(calls) == 2
+
+    bad = GridMap((standard_line(2),), (0, 2, 0), C4, "pair", 0)
+    assert not verify_homotopy_certificate(bad, bad, [CertificateStep(None, None, "fwd")])
+    with pytest.raises(InvalidGridMapError):
+        find_certificate(bad, c2)
+    with pytest.raises(InvalidGridMapError):
+        direct_homotopy(bad, bad)
