@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .chains import ChainComplex, homology_of, verify_exactness
 from .cubes import (
     CubicalChain,
+    build_cubical_complex,
     build_cubical_pair,
     comparison_L,
     cubical_boundary,
@@ -257,11 +258,8 @@ def criterion_09(seed: int = 0) -> CriterionResult:
     is_cycle = regular_boundary(sz).is_zero()
     in_lattice = build_omega_complex(sx, 2).lattice_coords(sz) is not None
     emap = path_suspension_map(c4, 1)
-    hd_x = build_omega_complex(c4, 3).complex.homology(1)
-    hd_sx = build_omega_complex(sx, 3).complex.homology(2)
-    z_cls = hd_x.class_vector(build_omega_complex(c4, 3).lattice_coords(z))
-    via_map = emap.matrix.apply(z_cls)
-    direct = hd_sx.class_vector(build_omega_complex(sx, 3).lattice_coords(sz))
+    via_map = emap.matrix.apply(build_omega_complex(c4, 2).class_of(z).coords)
+    direct = build_omega_complex(sx, 3).class_of(sz).coords
     ok = is_cycle and in_lattice and tuple(via_map) == tuple(direct)
     return _result(
         9,
@@ -335,8 +333,6 @@ def criterion_11(seed: int = 0) -> CriterionResult:
         except Exception:
             failures += 1
         try:
-            from .cubes import build_cubical_complex
-
             build_cubical_complex(g, 3).complex.check_square_zero()
         except Exception:
             failures += 1

@@ -11,8 +11,9 @@ out as honest integer matrices in fixed coordinates.
 
 from __future__ import annotations
 
-import inspect
-from functools import lru_cache, wraps
+from collections import ChainMap
+from copy import copy
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .intlinalg import (
@@ -44,29 +45,61 @@ class NotACycleError(ValueError):
     pass
 
 
+class Reducible:
+    """Mixin: `reduced` is a shallow copy that shares all state, growth
+    included, but reads each attribute in `_complexes` as its `reduced`."""
+
+    _complexes = ("complex",)
+
+    @cached_property
+    def reduced(self):
+        view = copy(self)
+        for name in self._complexes:
+            setattr(view, name, getattr(self, name).reduced)
+        return view
+
+
 class ChainComplex:
     """Non-negatively indexed complex of free Z-modules (degree -1 allowed
     for augmentations).  `boundary_cols[n][j]` is the sparse boundary of
     the j-th degree-n generator, a dict {index in degree n-1: coefficient}.
+
+    With a `grow` callback the complex is built on demand (`add_degree`),
+    and `homology(n)` grows it to degree n + 1 first.  `reduced` is the
+    augmented complex, a view sharing every degree of this one.
     """
 
-    def __init__(self, degrees: dict[int, list], boundary_cols: dict[int, list]):
-        self.degrees = {n: list(toks) for n, toks in degrees.items()}
-        self.boundary_cols = {n: [dict(c) for c in cols] for n, cols in boundary_cols.items()}
-        for n, cols in self.boundary_cols.items():
-            if len(cols) != self.dim(n):
-                raise DimensionMismatchError(f"boundary at degree {n} has wrong column count")
-            below = self.dim(n - 1)
-            for col in cols:
-                if any(not 0 <= i < below for i in col):
-                    raise DimensionMismatchError(f"boundary at degree {n} hits a bad row")
+    def __init__(self, degrees: dict[int, list], boundary_cols: dict[int, list], grow=None):
+        self.degrees: dict[int, list] = {}
+        self.boundary_cols: dict[int, list] = {}
+        for n in sorted(degrees):
+            self.add_degree(n, list(degrees[n]), [dict(c) for c in boundary_cols[n]])
+        self._grow = grow
         self._homology: dict[int, HomologyData] = {}
+
+    def add_degree(self, n: int, basis: list, cols: list) -> None:
+        """Add degree n: its generators and their boundary columns, which
+        must hit the rows of degree n - 1."""
+        if len(cols) != len(basis):
+            raise DimensionMismatchError(f"boundary at degree {n} has wrong column count")
+        below = self.dim(n - 1)
+        for col in cols:
+            if any(not 0 <= i < below for i in col):
+                raise DimensionMismatchError(f"boundary at degree {n} hits a bad row")
+        self.degrees[n] = basis
+        self.boundary_cols[n] = cols
+
+    def grow(self, d: int) -> None:
+        """Build every degree up to d, if this complex is built on demand."""
+        if self._grow is not None and d not in self.degrees:
+            self._grow(d)
+
+    @cached_property
+    def reduced(self) -> "ChainComplex":
+        return _Augmented(self)
 
     def dim(self, n: int) -> int:
         return len(self.degrees.get(n, ()))
-
-    def basis(self, n: int) -> list:
-        return self.degrees.get(n, [])
 
     def boundary_of(self, n: int, vec: dict) -> dict:
         """Boundary of a degree-n chain given as a sparse coordinate dict."""
@@ -90,8 +123,30 @@ class ChainComplex:
 
     def homology(self, n: int) -> "HomologyData":
         if n not in self._homology:
+            self.grow(n + 1)
             self._homology[n] = HomologyData(self, n)
         return self._homology[n]
+
+
+class _Augmented(ChainComplex):
+    """`base` augmented to Z in degree -1, every degree-0 generator going
+    to 1.  Degrees >= 0 are read live from `base` as it grows; only the
+    degree-0 boundary and the homology below degree 1 are its own."""
+
+    def __init__(self, base: ChainComplex):
+        base.grow(0)
+        self.base = base
+        self.degrees = ChainMap({-1: ["*"]}, base.degrees)
+        augmentation = [{0: 1} for _ in range(base.dim(0))]
+        self.boundary_cols = ChainMap({-1: [{}], 0: augmentation}, base.boundary_cols)
+        self._grow = base.grow
+        self._homology = {}
+
+    def add_degree(self, n: int, basis: list, cols: list) -> None:
+        self.base.add_degree(n, basis, cols)
+
+    def homology(self, n: int) -> "HomologyData":
+        return self.base.homology(n) if n > 0 else super().homology(n)
 
 
 class HomologyData:
@@ -105,8 +160,7 @@ class HomologyData:
     def __init__(self, complex: ChainComplex, n: int):
         self.complex = complex
         self.n = n
-        dim_n = complex.dim(n)
-        cols = complex.boundary_cols.get(n, [{} for _ in range(dim_n)])
+        cols = complex.boundary_cols.get(n, [])
         kernel_vecs = sparse_kernel_basis(cols, complex.dim(n - 1))
         self._kernel = Echelon()
         for v in kernel_vecs:
@@ -349,57 +403,60 @@ def hom_map(
     )
 
 
-class ChainComplexPair:
+class ChainComplexPair(Reducible):
     """A subcomplex inclusion with the induced quotient complex and the
-    three families of long-exact-sequence maps.
+    three families of long-exact-sequence maps, grown with the complexes.
 
-    `inclusion_cols[n]` expresses the degree-n sub basis in ambient
+    `inclusion_cols(n)` expresses the degree-n sub basis in ambient
     coordinates.  The embedded sub lattice must be saturated degreewise
     (true for coordinate subcomplexes and for saturated path lattices);
     otherwise the quotient would have torsion and NotASublatticeError is
-    raised.
+    raised.  `reduced`, the pair of the reduced complexes, shares the
+    quotient (their augmentations agree).
     """
 
-    def __init__(
-        self,
-        ambient: ChainComplex,
-        sub: ChainComplex,
-        inclusion_cols: dict[int, list],
-    ):
+    _complexes = ("ambient", "sub")
+
+    def __init__(self, ambient: ChainComplex, sub: ChainComplex, inclusion_cols: Callable):
         self.ambient = ambient
         self.sub = sub
+        self._inclusion_cols = inclusion_cols
         self._adapters: dict[int, _DegreeAdapter] = {}
-        degrees = sorted(set(ambient.degrees) | set(sub.degrees))
-        for n in degrees:
-            cols = inclusion_cols.get(n, [])
-            if len(cols) != sub.dim(n):
+        self.quotient = ChainComplex({}, {}, self.grow)
+
+    def grow(self, d: int) -> None:
+        """Build the adapters and quotient degrees up to d (or to the
+        ambient's top degree, if it does not grow)."""
+        self.ambient.grow(d)
+        self.sub.grow(d)
+        for n in range(len(self._adapters), d + 1):
+            if n not in self.ambient.degrees:
+                break
+            cols = self._inclusion_cols(n)
+            if len(cols) != self.sub.dim(n):
                 raise DimensionMismatchError(f"inclusion at degree {n} has wrong column count")
-            self._adapters[n] = _DegreeAdapter(ambient.dim(n), cols)
-        q_degrees = {}
-        q_cols = {}
-        for n in degrees:
-            ad = self._adapters[n]
-            q_degrees[n] = [f"q{n}:{j}" for j in range(ad.quot_dim)]
-            cols = []
-            if n - 1 in self._adapters:
-                below = self._adapters[n - 1]
-                for j in range(ad.quot_dim):
-                    bound = ambient.boundary_of(n, ad.section(j))
-                    cols.append(below.quotient_coords(bound))
-            else:
-                cols = [{} for _ in range(ad.quot_dim)]
-            q_cols[n] = cols
-        self.quotient = ChainComplex(q_degrees, q_cols)
+            ad = self._adapters[n] = _DegreeAdapter(self.ambient.dim(n), cols)
+            below = self._adapters.get(n - 1)
+            q_cols = [
+                below.quotient_coords(self.ambient.boundary_of(n, ad.section(j))) if below else {}
+                for j in range(ad.quot_dim)
+            ]
+            self.quotient.add_degree(n, [f"q{n}:{j}" for j in range(ad.quot_dim)], q_cols)
+
+    def _adapter(self, n: int) -> "_DegreeAdapter":
+        if n not in self._adapters:
+            self.grow(n)
+        return self._adapters[n]
 
     def sub_chain_to_ambient(self, n: int, vec: dict) -> dict:
-        return self._adapters[n].include(vec)
+        return self._adapter(n).include(vec)
 
     def ambient_chain_to_quotient(self, n: int, vec: dict) -> dict:
-        return self._adapters[n].quotient_coords(vec)
+        return self._adapter(n).quotient_coords(vec)
 
     def quotient_section(self, n: int, vec: dict) -> dict:
         out: dict = {}
-        ad = self._adapters[n]
+        ad = self._adapter(n)
         for j, coeff in vec.items():
             vec_addmul(out, ad.section(j), coeff)
         return out
@@ -410,7 +467,7 @@ class ChainComplexPair:
         return HomologyClass(hd.group, hd.class_vector(self.ambient_chain_to_quotient(n, vec)))
 
     def ambient_chain_to_sub(self, n: int, vec: dict) -> dict:
-        sub_vec = self._adapters[n].sub_coords(vec)
+        sub_vec = self._adapter(n).sub_coords(vec)
         if sub_vec is None:
             raise LiftFailureError(f"chain at degree {n} does not lie in the subcomplex")
         return sub_vec
@@ -495,47 +552,17 @@ def suspension_composite(
     """The suspension homomorphism H_n(x) -> H_{n+1}(Sx) as
     (quotient map)^-1 after (pair map) after (connecting map)^-1, through
     the cone pair (C^+x, x) and the suspension pair (Sx, C^-x).
-    `ambient_map` includes the chains of C^+x into those of Sx."""
+    `ambient_map` includes the chains of C^+x into those of Sx.
+
+    At n = 0 the connecting map is only invertible against the augmented
+    degree-0 group, so the composite runs through the reduced pairs and
+    its source is the reduced group there."""
+    if n == 0:
+        cone_pair, susp_pair = cone_pair.reduced, susp_pair.reduced
     xi = cone_pair.connecting_map(n + 1)
     incl = pair_map(cone_pair, susp_pair, n + 1, ambient_map)
     q = susp_pair.quotient_map(n + 1)
     return q.inverse().compose(incl).compose(xi.inverse())
-
-
-def cached_builder(maxsize: int):
-    """`lru_cache` keyed on the arguments with defaults filled in, so that
-    calls spelling the same arguments differently (positional, keyword or
-    omitted) share one entry; `cache_info` and `cache_clear` are kept.
-    The parameter list and defaults are read once, at decoration."""
-
-    def decorate(fn):
-        parameters = inspect.signature(fn).parameters.values()
-        if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in parameters):
-            raise TypeError("cached builders take positional-or-keyword parameters only")
-        params = [(p.name, p.default) for p in parameters]
-        cached = lru_cache(maxsize=maxsize)(fn)
-
-        @wraps(fn)
-        def builder(*args, **kwargs):
-            if len(args) > len(params):
-                raise TypeError(f"{fn.__name__}() takes at most {len(params)} arguments")
-            key = list(args)
-            for name, default in params[len(args) :]:
-                value = kwargs.pop(name, default)
-                if value is inspect.Parameter.empty:
-                    raise TypeError(f"{fn.__name__}() missing argument {name!r}")
-                key.append(value)
-            if kwargs:
-                raise TypeError(
-                    f"{fn.__name__}() got unexpected or repeated arguments {sorted(kwargs)}"
-                )
-            return cached(*key)
-
-        builder.cache_info = cached.cache_info
-        builder.cache_clear = cached.cache_clear
-        return builder
-
-    return decorate
 
 
 def homology_of(c: ChainComplex, n: int) -> AbelianGroup:

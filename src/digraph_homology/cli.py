@@ -120,7 +120,9 @@ def cmd_homology(args) -> int:
         if args.theory == "path":
             group = path_homology(g, args.dim, relative_to=rel, reduced=args.reduced)
         else:
-            group = cubical_homology(g, args.dim, relative_to=rel, dim_bound=args.maxdim)
+            group = cubical_homology(
+                g, args.dim, relative_to=rel, dim_bound=args.maxdim, reduced=args.reduced
+            )
     except BoundExceededError as exc:
         raise CliError(str(exc), EXIT_BOUND)
     except NotASubdigraphError as exc:

@@ -32,7 +32,7 @@ from .chains import (
     ChainComplexPair,
     GroupMap,
     HomologyClass,
-    cached_builder,
+    Reducible,
     hom_map,
     suspension_composite,
 )
@@ -243,15 +243,16 @@ def cubical_boundary(ch: CubicalChain) -> CubicalChain:
     return CubicalChain(n - 1, terms)
 
 
-def _cube_values(g: Digraph, n: int, dim_bound: int, vertex_bound: int) -> list[tuple]:
-    """Values tuples of all singular n-cubes of g, by backtracking over
-    corners in binary-counter order; deterministic output order."""
+def _require_bounds(g: Digraph, n: int, dim_bound: int, vertex_bound: int) -> None:
     if n > dim_bound:
         raise BoundExceededError(f"dimension {n} exceeds bound {dim_bound}")
     if g.n_vertices > vertex_bound:
-        raise BoundExceededError(
-            f"{g.n_vertices} vertices exceed bound {vertex_bound}"
-        )
+        raise BoundExceededError(f"{g.n_vertices} vertices exceed bound {vertex_bound}")
+
+
+def _cube_values(g: Digraph, n: int) -> list[tuple]:
+    """Values tuples of all singular n-cubes of g, by backtracking over
+    corners in binary-counter order; deterministic output order."""
     verts = list(g.vertices)
     succ = {v: (v,) + g.out_neighbors(v) for v in verts}
     lower = _tables(n).lower
@@ -290,57 +291,55 @@ def enumerate_cubes(
     """All singular n-cubes of g, by backtracking over corners in
     lexicographic (binary-counter) order; deterministic output order.
     """
-    return [SingularCube(n, v, g) for v in _cube_values(g, n, dim_bound, vertex_bound)]
+    _require_bounds(g, n, dim_bound, vertex_bound)
+    return [SingularCube(n, v, g) for v in _cube_values(g, n)]
 
 
-class CubicalComplex:
-    """Quotient cubical chain complex with basis the nondegenerate cubes."""
+class CubicalComplex(Reducible):
+    """Quotient cubical chain complex with basis the nondegenerate cubes,
+    built degree by degree as it is read (`grow`).  `reduced` is the same
+    complex augmented to Z in degree -1."""
 
-    def __init__(
+    def __init__(self, g: Digraph):
+        self.digraph = g
+        self.basis: dict[int, list[SingularCube]] = {}
+        self.index: dict[int, dict[SingularCube, int]] = {}
+        self.complex = ChainComplex({}, {}, self.grow)
+
+    def grow(
         self,
-        g: Digraph,
         maxdim: int,
         dim_bound: int = DEFAULT_DIM_BOUND,
         vertex_bound: int = DEFAULT_VERTEX_BOUND,
-        reduced: bool = False,
-    ):
-        self.digraph = g
-        self.maxdim = maxdim
-        self.reduced = reduced
-        self.basis: dict[int, list[SingularCube]] = {}
-        self.index: dict[int, dict[SingularCube, int]] = {}
-        degrees: dict[int, list] = {}
-        boundary: dict[int, list] = {}
-        if reduced:
-            degrees[-1] = ["*"]
-            boundary[-1] = [{}]
-        rows: dict[tuple, int] = {}
+    ) -> "CubicalComplex":
+        """Build every degree up to maxdim that is not built yet.  The
+        bounds are checked for every degree up to maxdim, built or not;
+        degrees that a reader builds on demand stay within the defaults."""
+        g = self.digraph
         for n in range(maxdim + 1):
+            _require_bounds(g, n, dim_bound, vertex_bound)
+        for n in range(len(self.basis), maxdim + 1):
+            rows = {c.values: i for i, c in enumerate(self.basis.get(n - 1, ()))}
             tables = _tables(n)
-            values = [
-                v
-                for v in _cube_values(g, n, dim_bound, vertex_bound)
-                if not _degenerate(v, tables.axes)
-            ]
+            values = [v for v in _cube_values(g, n) if not _degenerate(v, tables.axes)]
             cols = []
             for v in values:
-                col: dict[int, int] = {0: 1} if reduced and n == 0 else {}
+                col: dict[int, int] = {}
                 for gather, sign in tables.boundary:
                     row = rows.get(gather(v))
                     if row is not None:  # None: the face is degenerate
                         col[row] = col.get(row, 0) + sign
                 cols.append({r: x for r, x in col.items() if x})
-            rows = {v: i for i, v in enumerate(values)}
             cubes = [SingularCube(n, v, g) for v in values]
+            self.complex.add_degree(n, cubes, cols)
             self.basis[n] = cubes
             self.index[n] = {c: i for i, c in enumerate(cubes)}
-            degrees[n] = cubes
-            boundary[n] = cols
-        self.complex = ChainComplex(degrees, boundary)
+        return self
 
     def chain_coords(self, ch: CubicalChain) -> dict:
         """Quotient coordinates of a chain: degenerate cubes are dropped."""
         n = ch.dim
+        self.complex.grow(n)
         if n not in self.index:
             raise BoundExceededError(f"dimension {n} outside the built range")
         index = self.index[n]
@@ -365,7 +364,9 @@ class CubicalComplex:
         return HomologyClass(hd.group, hd.class_vector(self.chain_coords(ch)))
 
 
-@cached_builder(maxsize=64)
+_cubical_complex = lru_cache(maxsize=64)(CubicalComplex)
+
+
 def build_cubical_complex(
     g: Digraph,
     maxdim: int,
@@ -373,7 +374,13 @@ def build_cubical_complex(
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
     reduced: bool = False,
 ) -> CubicalComplex:
-    return CubicalComplex(g, maxdim, dim_bound, vertex_bound, reduced)
+    """The complex of g (one per digraph, cached) grown to maxdim, or its reduced view."""
+    cc = _cubical_complex(g).grow(maxdim, dim_bound, vertex_bound)
+    return cc.reduced if reduced else cc
+
+
+build_cubical_complex.cache_info = _cubical_complex.cache_info
+build_cubical_complex.cache_clear = _cubical_complex.cache_clear
 
 
 def cubical_homology(
@@ -382,45 +389,39 @@ def cubical_homology(
     relative_to: Optional[Digraph] = None,
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
+    reduced: bool = False,
 ) -> AbelianGroup:
     """Cubical homology of g (or of the pair (g, relative_to)) at degree n;
     requires n + 1 <= dim_bound so the image boundary is available."""
     if n + 1 > dim_bound:
         raise BoundExceededError(f"degree {n} needs dimension {n + 1} > bound {dim_bound}")
     if relative_to is not None:
-        pair = build_cubical_pair(g, relative_to, n + 1, dim_bound, vertex_bound)
+        pair = build_cubical_pair(g, relative_to, n + 1, dim_bound, vertex_bound, reduced)
         return pair.pair.quotient.homology(n).group
-    return build_cubical_complex(g, n + 1, dim_bound, vertex_bound).homology(n)
+    return build_cubical_complex(g, n + 1, dim_bound, vertex_bound, reduced).homology(n)
 
 
-class CubicalPair:
+class CubicalPair(Reducible):
     """The complexes of a digraph and of a subdigraph, with the
-    subdigraph's nondegenerate cubes as a coordinate subcomplex."""
+    subdigraph's nondegenerate cubes as a coordinate subcomplex; it grows
+    with the two complexes."""
 
-    def __init__(
-        self,
-        g: Digraph,
-        a: Digraph,
-        maxdim: int,
-        dim_bound: int = DEFAULT_DIM_BOUND,
-        vertex_bound: int = DEFAULT_VERTEX_BOUND,
-        reduced: bool = False,
-    ):
+    _complexes = ("ambient", "sub", "pair")
+
+    def __init__(self, g: Digraph, a: Digraph):
         require_subdigraph(a, g)
-        self.digraph = g
-        self.sub_digraph = a
-        self.ambient = build_cubical_complex(g, maxdim, dim_bound, vertex_bound, reduced)
-        self.sub = build_cubical_complex(a, maxdim, dim_bound, vertex_bound, reduced)
-        inclusion = {
-            n: [{self.ambient.index[n][c]: 1} for c in self.sub.basis[n]]
-            for n in range(maxdim + 1)
-        }
-        if reduced:
-            inclusion[-1] = [{0: 1}]
-        self.pair = ChainComplexPair(self.ambient.complex, self.sub.complex, inclusion)
+        self.ambient = _cubical_complex(g)
+        self.sub = _cubical_complex(a)
+        self.pair = ChainComplexPair(self.ambient.complex, self.sub.complex, self._inclusion_cols)
+
+    def _inclusion_cols(self, n: int) -> list:
+        index = self.ambient.index[n]
+        return [{index[c]: 1} for c in self.sub.basis[n]]
 
 
-@cached_builder(maxsize=64)
+_cubical_pair = lru_cache(maxsize=64)(CubicalPair)
+
+
 def build_cubical_pair(
     g: Digraph,
     a: Digraph,
@@ -429,7 +430,16 @@ def build_cubical_pair(
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
     reduced: bool = False,
 ) -> CubicalPair:
-    return CubicalPair(g, a, maxdim, dim_bound, vertex_bound, reduced)
+    """The pair (g, a) (one per pair, cached) grown to maxdim, or its reduced view."""
+    pair = _cubical_pair(g, a)
+    pair.ambient.grow(maxdim, dim_bound, vertex_bound)
+    pair.sub.grow(maxdim, dim_bound, vertex_bound)
+    pair.pair.grow(maxdim)
+    return pair.reduced if reduced else pair
+
+
+build_cubical_pair.cache_info = _cubical_pair.cache_info
+build_cubical_pair.cache_clear = _cubical_pair.cache_clear
 
 
 def connecting_face_formula(pair: CubicalPair, n: int) -> GroupMap:
@@ -532,19 +542,12 @@ def cubical_suspension_map(
     apex_a="+a",
     apex_b="+b",
 ) -> GroupMap:
-    """The cubical suspension homomorphism H^c_n(x) -> H^c_{n+1}(suspension),
-    computed as (quotient map)^-1 after (pair inclusion) after
-    (connecting map)^-1 through the two cone pairs.
-
-    At n = 0 the composite only exists for the augmented (reduced) degree-0
-    group, so the source is the reduced group there.
-    """
-    reduced = n == 0
-    pair_cone = build_cubical_pair(
-        cone(x, apex_a), x, n + 2, dim_bound, vertex_bound, reduced
-    )
+    """The cubical suspension homomorphism H^c_n(x) -> H^c_{n+1}(suspension)
+    (reduced at n = 0), computed by `suspension_composite` through the two
+    cone pairs."""
+    pair_cone = build_cubical_pair(cone(x, apex_a), x, n + 2, dim_bound, vertex_bound)
     pair_susp = build_cubical_pair(
-        suspension(x, apex_a, apex_b), cone(x, apex_b), n + 2, dim_bound, vertex_bound, reduced
+        suspension(x, apex_a, apex_b), cone(x, apex_b), n + 2, dim_bound, vertex_bound
     )
 
     def include(k: int, vec: dict) -> dict:

@@ -545,13 +545,18 @@ def verify_one_step(
 
 
 def _step_holds(
-    f: GridMap, g: GridMap, shrink_f: ShrinkingMap, shrink_g: ShrinkingMap, direction: str
+    f: GridMap,
+    g: GridMap,
+    shrink_f: Optional[ShrinkingMap],
+    shrink_g: Optional[ShrinkingMap],
+    direction: str,
 ) -> bool:
-    """`verify_one_step` of maps taken as valid."""
+    """`verify_one_step` of maps taken as valid; a shrinking map of None
+    leaves its side as it is."""
     if direction not in ("fwd", "bwd"):
         raise ValueError("direction must be 'fwd' or 'bwd'")
-    fbar = subdivide(f, shrink_f)
-    gbar = subdivide(g, shrink_g)
+    fbar = f if shrink_f is None else subdivide(f, shrink_f)
+    gbar = g if shrink_g is None else subdivide(g, shrink_g)
     if fbar.axes != gbar.axes:
         raise ShapeMismatchError("subdivided grids do not share a shape")
     _require_comparable(fbar, gbar)
@@ -588,10 +593,8 @@ def verify_homotopy_certificate(
         nxt = step.next_map if step.next_map is not None else (g if last else None)
         if nxt is None:
             return False  # malformed: intermediate step without its map
-        left = step.left if step.left is not None else ShrinkingMap.identity(current.axes)
-        right = step.right if step.right is not None else ShrinkingMap.identity(nxt.axes)
         try:
-            if not _step_holds(current, nxt, left, right, step.direction):
+            if not _step_holds(current, nxt, step.left, step.right, step.direction):
                 return False
         except GridError:
             return False

@@ -9,6 +9,7 @@ long-exact-sequence maps.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .chains import (
@@ -17,7 +18,7 @@ from .chains import (
     GroupMap,
     HomologyClass,
     NotACycleError,
-    cached_builder,
+    Reducible,
     suspension_composite,
 )
 from .digraphs import (
@@ -160,42 +161,37 @@ def regular_boundary(chain: PathChain) -> PathChain:
     return PathChain(chain.degree - 1, terms)
 
 
-class OmegaComplex:
-    """The complex of allowed chains whose regular boundary stays allowed.
+class OmegaComplex(Reducible):
+    """The complex of allowed chains whose regular boundary stays allowed,
+    built degree by degree as it is read (`grow`).
 
-    Per degree n <= maxdeg: the ordered allowed-path basis, a saturated
+    Per built degree n: the ordered allowed-path basis, a saturated
     lattice basis for the degree-n chain group inside it, and the boundary
-    matrix in those lattice coordinates.  With `reduced=True` an
-    augmentation to Z in degree -1 is appended.
+    matrix in those lattice coordinates.  `reduced` is the same complex
+    augmented to Z in degree -1.
     """
 
-    def __init__(self, g: Digraph, maxdeg: int, reduced: bool = False):
+    def __init__(self, g: Digraph):
         self.digraph = g
-        self.maxdeg = maxdeg
-        self.reduced = reduced
         self.allowed: dict[int, list[tuple]] = {}
         self.path_index: dict[int, dict[tuple, int]] = {}
         self._echelons: dict[int, Echelon] = {}
-        degrees: dict[int, list] = {}
-        boundary: dict[int, list] = {}
+        self.complex = ChainComplex({}, {}, self.grow)
 
-        if reduced:
-            degrees[-1] = ["*"]
-
-        for n in range(maxdeg + 1):
-            paths = allowed_paths(g, n)
-            self.allowed[n] = paths
-            self.path_index[n] = {p: i for i, p in enumerate(paths)}
+    def grow(self, maxdeg: int) -> "OmegaComplex":
+        """Build every degree up to maxdeg that is not built yet."""
+        for n in range(len(self.allowed), maxdeg + 1):
+            paths = allowed_paths(self.digraph, n)
+            below_index = self.path_index.get(n - 1, {})
             if n == 0:
                 basis = [{i: 1} for i in range(len(paths))]
             else:
-                below = self.path_index[n - 1]
                 nonallowed_rows: dict[tuple, int] = {}
                 cols = []
                 for p in paths:
                     col: dict[int, int] = {}
                     for face, sign in _boundary_faces(p):
-                        if face in below:
+                        if face in below_index:
                             continue
                         row = nonallowed_rows.setdefault(face, len(nonallowed_rows))
                         col[row] = col.get(row, 0) + sign
@@ -204,39 +200,28 @@ class OmegaComplex:
             ech = Echelon()
             for vec in basis:
                 ech.add(vec)
-            self._echelons[n] = ech
-            degrees[n] = [f"w{n}:{j}" for j in range(len(ech))]
-
+            # in degree 0 the empty face has no row, so every boundary is zero
+            below_ech = self._echelons.get(n - 1, Echelon())
             bcols = []
-            if n == 0:
-                if reduced:
-                    for vec in ech.basis_vectors():
-                        total = sum(vec.values())
-                        bcols.append({0: total} if total else {})
-                else:
-                    bcols = [{} for _ in range(len(ech))]
-            else:
-                below_ech = self._echelons[n - 1]
-                below_index = self.path_index[n - 1]
-                for vec in ech.basis_vectors():
-                    db: dict[int, int] = {}
-                    for idx, coeff in vec.items():
-                        for face, sign in _boundary_faces(paths[idx]):
-                            row = below_index.get(face)
-                            if row is not None:
-                                db[row] = db.get(row, 0) + sign * coeff
-                    db = {k: v for k, v in db.items() if v}
-                    sol = below_ech.solve(db)
-                    if sol is None:
-                        raise AssertionError("boundary left the allowed chain lattice")
-                    bcols.append(sol)
-            boundary[n] = bcols
-
-        if reduced:
-            boundary[-1] = [{}]
-        self.complex = ChainComplex(degrees, boundary)
+            for vec in ech.basis_vectors():
+                db: dict[int, int] = {}
+                for idx, coeff in vec.items():
+                    for face, sign in _boundary_faces(paths[idx]):
+                        row = below_index.get(face)
+                        if row is not None:
+                            db[row] = db.get(row, 0) + sign * coeff
+                db = {k: v for k, v in db.items() if v}
+                sol = below_ech.solve(db)
+                if sol is None:
+                    raise AssertionError("boundary left the allowed chain lattice")
+                bcols.append(sol)
+            self.complex.add_degree(n, [f"w{n}:{j}" for j in range(len(ech))], bcols)
+            self.allowed[n], self._echelons[n] = paths, ech
+            self.path_index[n] = {p: i for i, p in enumerate(paths)}
+        return self
 
     def rank(self, n: int) -> int:
+        self.complex.grow(n)
         return self.complex.dim(n)
 
     def basis_chain(self, n: int, j: int) -> PathChain:
@@ -247,8 +232,9 @@ class OmegaComplex:
         """Coordinates of an allowed chain in the degree-n lattice basis,
         or None if the chain is not in the lattice."""
         n = chain.degree
+        self.complex.grow(n)
         if n not in self.allowed:
-            raise ValueError(f"degree {n} outside the built range")
+            raise ValueError(f"no allowed paths of degree {n}")
         index = self.path_index[n]
         vec: dict[int, int] = {}
         for path, coeff in chain.terms.items():
@@ -274,36 +260,37 @@ class OmegaComplex:
         return HomologyClass(hd.group, hd.class_vector(vec))
 
 
-@cached_builder(maxsize=128)
+_omega_complex = lru_cache(maxsize=128)(OmegaComplex)
+
+
 def build_omega_complex(g: Digraph, maxdeg: int, reduced: bool = False) -> OmegaComplex:
-    """Build (and cache) the allowed-chain complex of g up to maxdeg."""
-    return OmegaComplex(g, maxdeg, reduced)
+    """The complex of g (one per digraph, cached) grown to maxdeg, or its reduced view."""
+    oc = _omega_complex(g).grow(maxdeg)
+    return oc.reduced if reduced else oc
 
 
-class OmegaPair:
-    """Relative allowed-chain machinery for a subdigraph inclusion."""
+build_omega_complex.cache_info = _omega_complex.cache_info
+build_omega_complex.cache_clear = _omega_complex.cache_clear
 
-    def __init__(self, g: Digraph, a: Digraph, maxdeg: int, reduced: bool = False):
+
+class OmegaPair(Reducible):
+    """Relative allowed-chain machinery for a subdigraph inclusion; it
+    grows with the complexes of the two digraphs."""
+
+    _complexes = ("ambient", "sub", "pair")
+
+    def __init__(self, g: Digraph, a: Digraph):
         require_subdigraph(a, g)
-        self.digraph = g
-        self.sub_digraph = a
-        self.ambient = build_omega_complex(g, maxdeg, reduced)
-        self.sub = build_omega_complex(a, maxdeg, reduced)
-        inclusion: dict[int, list] = {}
-        degrees = range(-1, maxdeg + 1) if reduced else range(maxdeg + 1)
-        for n in degrees:
-            if n == -1:
-                inclusion[n] = [{0: 1}]
-                continue
-            cols = []
-            for j in range(self.sub.rank(n)):
-                chain = self.sub.basis_chain(n, j)
-                coords = self.ambient.lattice_coords(chain)
-                if coords is None:
-                    raise AssertionError("sub lattice does not embed; invariant broken")
-                cols.append(coords)
-            inclusion[n] = cols
-        self.pair = ChainComplexPair(self.ambient.complex, self.sub.complex, inclusion)
+        self.ambient = _omega_complex(g)
+        self.sub = _omega_complex(a)
+        self.pair = ChainComplexPair(self.ambient.complex, self.sub.complex, self._inclusion_cols)
+
+    def _inclusion_cols(self, n: int) -> list:
+        chains = (self.sub.basis_chain(n, j) for j in range(self.sub.rank(n)))
+        cols = [self.ambient.lattice_coords(chain) for chain in chains]
+        if None in cols:
+            raise AssertionError("sub lattice does not embed; invariant broken")
+        return cols
 
     def quotient_class(self, chain: PathChain) -> HomologyClass:
         """Class of an ambient allowed chain in the relative homology."""
@@ -313,26 +300,30 @@ class OmegaPair:
         return self.pair.quotient_class(chain.degree, vec)
 
 
-@cached_builder(maxsize=64)
+_omega_pair = lru_cache(maxsize=64)(OmegaPair)
+
+
 def build_omega_pair(g: Digraph, a: Digraph, maxdeg: int, reduced: bool = False) -> OmegaPair:
-    return OmegaPair(g, a, maxdeg, reduced)
+    """The pair (g, a) (one per pair, cached) grown to maxdeg, or its reduced view."""
+    pair = _omega_pair(g, a)
+    pair.pair.grow(maxdeg)
+    return pair.reduced if reduced else pair
+
+
+build_omega_pair.cache_info = _omega_pair.cache_info
+build_omega_pair.cache_clear = _omega_pair.cache_clear
 
 
 def path_homology(
-    g: Digraph,
-    n: int,
-    relative_to: Optional[Digraph] = None,
-    reduced: bool = False,
-    maxdeg: Optional[int] = None,
+    g: Digraph, n: int, relative_to: Optional[Digraph] = None, reduced: bool = False
 ) -> AbelianGroup:
     """Path homology H_n(g) or H_n(g, relative_to) over the integers."""
     if n < 0:
         raise ValueError("negative degree")
-    depth = max(maxdeg if maxdeg is not None else 0, n + 1)
     if relative_to is not None:
-        pair = build_omega_pair(g, relative_to, depth, reduced)
+        pair = build_omega_pair(g, relative_to, n + 1, reduced)
         return pair.pair.quotient.homology(n).group
-    return build_omega_complex(g, depth, reduced).homology(n)
+    return build_omega_complex(g, n + 1, reduced).homology(n)
 
 
 def pushforward(f: DigraphMap, chain: PathChain) -> PathChain:
@@ -384,18 +375,11 @@ def suspension_cycle(
 
 
 def path_suspension_map(x: Digraph, n: int, apex_a="+a", apex_b="+b") -> GroupMap:
-    """The suspension homomorphism H_n(x) -> H_{n+1}(suspension of x),
-    computed as (quotient map)^-1 after (pair inclusion) after
-    (connecting map)^-1 through the two cone pairs.
-
-    At n = 0 the connecting map is only invertible against the augmented
-    (reduced) degree-0 group, so the source is the reduced group there.
-    """
-    reduced = n == 0
-    pair_cone = build_omega_pair(cone(x, apex_a), x, n + 2, reduced)
-    pair_susp = build_omega_pair(
-        suspension(x, apex_a, apex_b), cone(x, apex_b), n + 2, reduced
-    )
+    """The suspension homomorphism H_n(x) -> H_{n+1}(suspension of x)
+    (reduced at n = 0), computed by `suspension_composite` through the
+    two cone pairs."""
+    pair_cone = build_omega_pair(cone(x, apex_a), x, n + 2)
+    pair_susp = build_omega_pair(suspension(x, apex_a, apex_b), cone(x, apex_b), n + 2)
 
     def include(k: int, vec: dict) -> dict:
         chain = pair_cone.ambient.to_path_chain(k, vec)

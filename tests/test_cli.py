@@ -61,6 +61,15 @@ def test_homology_cubical(c4_file, capsys):
     assert out.strip() == "H_0 = Z"
 
 
+@pytest.mark.parametrize("theory", ["path", "cubical"])
+def test_homology_reduced_in_both_theories(tmp_path, capsys, theory):
+    path = tmp_path / "arrow.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "arrows": [["a", "b"]]}))
+    argv = ("homology", path, "--theory", theory, "--dim", "0")
+    assert run_cli(capsys, *argv, "--reduced")[:2] == (0, "H_0 = 0\n")
+    assert run_cli(capsys, *argv)[:2] == (0, "H_0 = Z\n")
+
+
 def test_homology_reduced_suspension(tmp_path, capsys, c4_file):
     code, out, _ = run_cli(capsys, "build", "suspend", c4_file, "-o", tmp_path / "s.json")
     assert code == 0

@@ -1,9 +1,11 @@
+import json
 import random
 from itertools import product
 
 import pytest
 
 from digraph_homology.chains import verify_exactness
+from digraph_homology.cli import main
 from digraph_homology.cubes import (
     BoundExceededError,
     CubicalChain,
@@ -27,6 +29,7 @@ from digraph_homology.digraphs import (
     build_digraph,
     cone,
     cycle_digraph,
+    digraph_from_json,
     make_grid,
     standard_line,
     suspension,
@@ -35,6 +38,7 @@ from digraph_homology.intlinalg import AbelianGroup
 from digraph_homology.paths import (
     PathChain,
     build_omega_complex,
+    build_omega_pair,
     path_homology,
     regular_boundary,
 )
@@ -413,3 +417,48 @@ def test_cube_json():
     arrow = SingularCube(1, (0, 1), c4)
     ch = CubicalChain(1, {arrow: 2})
     assert ch.to_json() == [{"dim": 1, "values": ["0", "1"], "coeff": 2}]
+
+
+# --- one complex per digraph, grown on demand -------------------------------
+
+
+def test_top_degree_homology_builds_the_degree_above():
+    # the square 0->1->2 = 0->2 fills the triangle's only cycle, in degree 2,
+    # one above the degree the complexes are asked for
+    t = build_digraph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+    for builder in (build_omega_complex, build_cubical_complex):
+        builder.cache_clear()
+        assert builder(t, 1).homology(1) == AbelianGroup(0)
+        builder.cache_clear()
+        assert builder(t, 1).complex.homology(1).group == AbelianGroup(0)
+    assert path_homology(t, 1) == cubical_homology(t, 1) == AbelianGroup(0)
+
+
+def test_a_warm_cache_never_bypasses_a_bound(tmp_path):
+    path = tmp_path / "c4.json"
+    arrows = [list(e) for e in ("ab", "bc", "cd", "da")]
+    path.write_text(json.dumps({"vertices": list("abcd"), "arrows": arrows}))
+    g = digraph_from_json(json.loads(path.read_text()))
+    cc = build_cubical_complex(g, 3)
+    with pytest.raises(BoundExceededError, match="^dimension 2 exceeds bound 1$"):
+        build_cubical_complex(g, 2, dim_bound=1)
+    with pytest.raises(BoundExceededError, match="^4 vertices exceed bound 3$"):
+        build_cubical_complex(g, 2, vertex_bound=3)
+    with pytest.raises(BoundExceededError, match="^degree 3 needs dimension 4 > bound 3$"):
+        cubical_homology(g, 3)
+    with pytest.raises(BoundExceededError, match="^dimension 4 exceeds bound 3$"):
+        cc.complex.homology(3)  # degrees built on demand stay within the defaults
+    argv = ["homology", str(path), "--theory", "cubical", "--dim", "2", "--maxdim", "2"]
+    assert main(argv) == 3
+
+    # one complex and one pair per digraph, whatever the degree or reduction
+    assert build_cubical_complex(g, 2) is cc
+    assert build_omega_complex(g, 2) is build_omega_complex(g, 3)
+    for builder in (build_omega_complex, build_cubical_complex):
+        reduced = builder(g, 2, reduced=True).complex
+        assert reduced.homology(1) is builder(g, 2).complex.homology(1)
+        assert reduced.homology(0).group == AbelianGroup(0)
+    for builder in (build_omega_pair, build_cubical_pair):
+        pair = builder(cone(g, "+a"), g, 2)
+        assert builder(cone(g, "+a"), g, 3) is pair
+        assert builder(cone(g, "+a"), g, 2, reduced=True).pair.quotient is pair.pair.quotient

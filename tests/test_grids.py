@@ -225,6 +225,10 @@ def test_verify_one_step_and_certificates():
     cert = [CertificateStep(shrink_by_pair_insertions([8], [[4]]), None, "fwd")]
     assert verify_homotopy_certificate(g, sub, cert)
     assert not verify_homotopy_certificate(g, const, [CertificateStep(None, None, "fwd")])
+    # a side without a shrinking map is compared as it is
+    back = [CertificateStep(None, shrink_by_pair_insertions([8], [[4]]), "bwd")]
+    assert verify_homotopy_certificate(sub, g, back)
+    assert not verify_homotopy_certificate(sub, g, [CertificateStep(None, None, "bwd")])
     assert verify_homotopy_certificate(g, g, [])
 
 
