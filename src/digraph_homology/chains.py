@@ -127,6 +127,11 @@ class ChainComplex:
             self._homology[n] = HomologyData(self, n)
         return self._homology[n]
 
+    def class_of(self, n: int, vec: dict) -> "HomologyClass":
+        """Class of a degree-n cycle given as a sparse coordinate dict."""
+        hd = self.homology(n)
+        return HomologyClass(hd.group, hd.class_vector(vec))
+
 
 class _Augmented(ChainComplex):
     """`base` augmented to Z in degree -1, every degree-0 generator going
@@ -463,8 +468,7 @@ class ChainComplexPair(Reducible):
 
     def quotient_class(self, n: int, vec: dict) -> HomologyClass:
         """Class in H_n(quotient) of an ambient chain that is a relative cycle."""
-        hd = self.quotient.homology(n)
-        return HomologyClass(hd.group, hd.class_vector(self.ambient_chain_to_quotient(n, vec)))
+        return self.quotient.class_of(n, self.ambient_chain_to_quotient(n, vec))
 
     def ambient_chain_to_sub(self, n: int, vec: dict) -> dict:
         sub_vec = self._adapter(n).sub_coords(vec)

@@ -7,7 +7,8 @@ matrix), and `verify` (certificates, long-exact-sequence exactness, and
 the built-in verification suite).
 
 Exit codes: 0 success, 1 failed verification, 2 parse error, 3 bound
-exceeded, 4 invalid subdigraph, 5 invalid grid map.
+exceeded, 4 invalid subdigraph, 5 invalid grid map (for `hurewicz`, also
+a map without a class: 0-dimensional, or a cell chain that is no cycle).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .chains import verify_exactness
+from .chains import NotACycleError, verify_exactness
 from .cubes import (
     BoundExceededError,
     build_cubical_pair,
@@ -37,6 +38,7 @@ from .digraphs import (
 )
 from .grids import (
     GridError,
+    WrongDimensionError,
     certificate_from_json,
     glmy_hurewicz,
     grid_map_from_json,
@@ -199,6 +201,9 @@ def cmd_hurewicz(args) -> int:
         glmy = glmy_hurewicz(f)
     except BoundExceededError as exc:
         raise CliError(str(exc), EXIT_BOUND)
+    except (WrongDimensionError, NotACycleError) as exc:
+        # a 0-dimensional map, or an absolute-mode map whose cells do not close up
+        raise CliError(f"no Hurewicz class: {exc}", EXIT_GRIDMAP)
     if args.json:
         out = {
             "cubical": {"group": cubical.group.to_json(), "coords": list(cubical.coords)},

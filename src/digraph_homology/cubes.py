@@ -303,7 +303,8 @@ class CubicalComplex(Reducible):
     def __init__(self, g: Digraph):
         self.digraph = g
         self.basis: dict[int, list[SingularCube]] = {}
-        self.index: dict[int, dict[SingularCube, int]] = {}
+        # per degree: values tuple of each basis cube -> its position
+        self.index: dict[int, dict[tuple, int]] = {}
         self.complex = ChainComplex({}, {}, self.grow)
 
     def grow(
@@ -319,7 +320,7 @@ class CubicalComplex(Reducible):
         for n in range(maxdim + 1):
             _require_bounds(g, n, dim_bound, vertex_bound)
         for n in range(len(self.basis), maxdim + 1):
-            rows = {c.values: i for i, c in enumerate(self.basis.get(n - 1, ()))}
+            rows = self.index.get(n - 1, {})
             tables = _tables(n)
             values = [v for v in _cube_values(g, n) if not _degenerate(v, tables.axes)]
             cols = []
@@ -333,25 +334,29 @@ class CubicalComplex(Reducible):
             cubes = [SingularCube(n, v, g) for v in values]
             self.complex.add_degree(n, cubes, cols)
             self.basis[n] = cubes
-            self.index[n] = {c: i for i, c in enumerate(cubes)}
+            self.index[n] = {v: i for i, v in enumerate(values)}
         return self
 
-    def chain_coords(self, ch: CubicalChain) -> dict:
-        """Quotient coordinates of a chain: degenerate cubes are dropped."""
-        n = ch.dim
+    def values_coords(self, n: int, terms: dict[tuple, int]) -> dict:
+        """Quotient coordinates of the sum {values tuple: coeff} of singular
+        n-cubes of the digraph: degenerate cubes are dropped."""
         self.complex.grow(n)
         if n not in self.index:
             raise BoundExceededError(f"dimension {n} outside the built range")
-        index = self.index[n]
+        index, axes = self.index[n], _tables(n).axes
         vec: dict[int, int] = {}
-        for cube, coeff in ch.terms.items():
-            row = index.get(cube)
+        for values, coeff in terms.items():
+            row = index.get(values)
             if row is None:
-                if is_degenerate(cube):
+                if _degenerate(values, axes):
                     continue
                 raise ValueError("chain contains a cube outside the enumerated basis")
             vec[row] = vec.get(row, 0) + coeff
         return {r: v for r, v in vec.items() if v}
+
+    def chain_coords(self, ch: CubicalChain) -> dict:
+        """Quotient coordinates of a chain: degenerate cubes are dropped."""
+        return self.values_coords(ch.dim, {c.values: k for c, k in ch.terms.items()})
 
     def coords_to_chain(self, n: int, vec: dict) -> CubicalChain:
         return CubicalChain(n, {self.basis[n][j]: coeff for j, coeff in vec.items()})
@@ -360,8 +365,7 @@ class CubicalComplex(Reducible):
         return self.complex.homology(n).group
 
     def class_of(self, ch: CubicalChain) -> HomologyClass:
-        hd = self.complex.homology(ch.dim)
-        return HomologyClass(hd.group, hd.class_vector(self.chain_coords(ch)))
+        return self.complex.class_of(ch.dim, self.chain_coords(ch))
 
 
 _cubical_complex = lru_cache(maxsize=64)(CubicalComplex)
@@ -416,7 +420,7 @@ class CubicalPair(Reducible):
 
     def _inclusion_cols(self, n: int) -> list:
         index = self.ambient.index[n]
-        return [{index[c]: 1} for c in self.sub.basis[n]]
+        return [{index[c.values]: 1} for c in self.sub.basis[n]]
 
 
 _cubical_pair = lru_cache(maxsize=64)(CubicalPair)
@@ -492,21 +496,22 @@ def iota(arg) -> PathChain:
     chains): each corner-to-corner path maps to its vertex image, and
     images with equal adjacent vertices vanish."""
     if isinstance(arg, SingularCube):
-        chains = [(arg, 1)]
-        n = arg.dim
-    elif isinstance(arg, CubicalChain):
-        chains = list(arg.terms.items())
-        n = arg.dim
-    else:
-        raise TypeError("iota expects a cube or a cubical chain")
+        return iota_values(arg.dim, {arg.values: 1})
+    if isinstance(arg, CubicalChain):
+        return iota_values(arg.dim, {c.values: k for c, k in arg.terms.items()})
+    raise TypeError("iota expects a cube or a cubical chain")
+
+
+def iota_values(n: int, terms: dict[tuple, int]) -> PathChain:
+    """`iota` of the sum {values tuple: coeff} of singular n-cubes."""
     omega = _tables(n).omega
-    terms: dict[tuple, int] = {}
-    for cube, coeff in chains:
+    out: dict[tuple, int] = {}
+    for values, coeff in terms.items():
         for gather, sign in omega:
-            image = gather(cube.values)
+            image = gather(values)
             if is_regular(image):
-                terms[image] = terms.get(image, 0) + sign * coeff
-    return PathChain(n, terms)
+                out[image] = out.get(image, 0) + sign * coeff
+    return PathChain(n, out)
 
 
 def comparison_L(
@@ -552,6 +557,6 @@ def cubical_suspension_map(
 
     def include(k: int, vec: dict) -> dict:
         basis, index = pair_cone.ambient.basis[k], pair_susp.ambient.index[k]
-        return {index[basis[j]]: coeff for j, coeff in vec.items()}
+        return {index[basis[j].values]: coeff for j, coeff in vec.items()}
 
     return suspension_composite(pair_cone.pair, pair_susp.pair, n, include)

@@ -9,6 +9,7 @@ fresh apex labels.  All values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Hashable, Iterable, Optional, Sequence
 
 Label = Hashable
@@ -94,6 +95,15 @@ class Digraph:
 
     def has_arrow(self, src: Label, dst: Label) -> bool:
         return (src, dst) in self._cache["arrow_set"]
+
+    def has_vertices(self, labels: Iterable[Label]) -> bool:
+        """True iff every label is a vertex."""
+        return all(map(self._cache["index"].__contains__, labels))
+
+    def has_arrows_or_equal(self, pairs: Iterable[tuple]) -> bool:
+        """True iff every pair (a, b) of vertices is an arrow or has a == b,
+        as the image of an arrow under a digraph map must."""
+        return all(a == b for a, b in set(pairs).difference(self._cache["arrow_set"]))
 
     def out_neighbors(self, v: Label) -> tuple:
         out = self._cache.get("out")
@@ -306,7 +316,9 @@ class LineSpec:
         return self.pattern[i] == "F"
 
 
+@lru_cache(maxsize=256)
 def standard_line(m: int) -> LineSpec:
+    """The line of length m oriented F, B, F, ...; one shared instance per m."""
     return LineSpec(m, "".join("F" if i % 2 == 0 else "B" for i in range(m)))
 
 

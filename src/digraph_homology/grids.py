@@ -13,13 +13,19 @@ signed singular cubes with its induced homology classes, the degree-1
 edge-chain formula, and minimal-path collapse.
 
 Grid walks read the flat row-major `values` at offsets from the strides
-each map keeps: through per-axis position tables (`_positions`) and, for
-cells, per-strides corner offset tables (`_cell_offsets`).
+each map keeps: through per-axis position tables (`_positions`) and, per
+grid shape and orientation, through cached flat position tables of its
+arrows, boundary and collapsed part (`_grid_tables`) and of its cells'
+corners (`_cell_table`).  The Hurewicz classes read the cells as values
+tuples straight into complex coordinates (`_cells`).
 
 Validation contract: `grid_map_violation` is the one validity check, and
-public entry points run it once on each input map.  A subdivision of a
-valid map is valid by construction (shrinking maps are digraph maps that
-keep boundaries and far faces), so certificate steps do not re-check.
+public entry points run it once on each input map.  It tests each
+condition in bulk over the flat position tables and walks the grid only
+when a condition fails, to name the first violation in row-major order
+(the messages are those of a walk).  A subdivision of a valid map is
+valid by construction (shrinking maps are digraph maps that keep
+boundaries and far faces), so certificate steps do not re-check.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .chains import HomologyClass
 from .cubes import (
@@ -38,7 +44,7 @@ from .cubes import (
     SingularCube,
     build_cubical_complex,
     build_cubical_pair,
-    iota,
+    iota_values,
 )
 from .digraphs import Digraph, LineSpec, require_subdigraph, standard_line
 from .paths import PathChain, build_omega_complex, build_omega_pair, is_regular
@@ -104,7 +110,7 @@ class GridMap:
                 f"value array has {len(self.values)} entries; expected {prod(shape)}"
             )
         object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_strides", tuple(prod(shape[k + 1 :]) for k in range(len(shape))))
+        object.__setattr__(self, "_strides", _strides(shape))
 
     @property
     def dims(self) -> int:
@@ -167,6 +173,11 @@ class GridMap:
         return f"GridMap(shape={self.shape}, mode={self.mode!r})"
 
 
+def _strides(shape: Sequence[int]) -> tuple[int, ...]:
+    """Row-major strides of a grid of this shape."""
+    return tuple(prod(shape[k + 1 :]) for k in range(len(shape)))
+
+
 def on_outer_boundary(idx: Sequence[int], lengths: Sequence[int]) -> bool:
     return any(i == 0 or i == m for i, m in zip(idx, lengths))
 
@@ -197,30 +208,81 @@ def _arrow_images(f: GridMap):
                 yield idx, k, (a, b) if fw else (b, a)
 
 
+class _GridTables(NamedTuple):
+    """Flat position tables of one grid shape and orientation; see `_grid_tables`."""
+
+    lengths: tuple[int, ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    boundary: tuple[int, ...]
+    collapsed: tuple[int, ...]
+    rim_tails: tuple[int, ...]
+    rim_heads: tuple[int, ...]
+
+
+@lru_cache(maxsize=256)
+def _grid_tables(axes: tuple[LineSpec, ...]) -> _GridTables:
+    """The axis lengths and flat positions, in the row-major order of grids
+    on these axes, of: the source and target of every grid arrow (`tails`,
+    `heads`); the outer boundary; the collapsed part of triple mode (empty
+    without axes); and the source and target of every arrow inside the
+    boundary (`rim_tails`, `rim_heads`)."""
+    shape = tuple(ax.length + 1 for ax in axes)
+    lengths = tuple(ax.length for ax in axes)
+    strides = _strides(shape)
+    tails, heads, rim_tails, rim_heads, boundary, collapsed = [], [], [], [], [], []
+    for p, idx in enumerate(product(*map(range, shape))):
+        for k, (ax, stride) in enumerate(zip(axes, strides)):
+            if idx[k] == ax.length:
+                continue
+            src, dst = (p, p + stride) if ax.forward_at(idx[k]) else (p + stride, p)
+            tails.append(src)
+            heads.append(dst)
+            # an arrow lies in the grid boundary iff some other coordinate is extreme
+            if any(j != k and (i == 0 or i == m) for j, (i, m) in enumerate(zip(idx, lengths))):
+                rim_tails.append(src)
+                rim_heads.append(dst)
+        if on_outer_boundary(idx, lengths):
+            boundary.append(p)
+        if idx and on_collapsed_part(idx, lengths):
+            collapsed.append(p)
+    return _GridTables(
+        lengths, *map(tuple, (tails, heads, boundary, collapsed, rim_tails, rim_heads))
+    )
+
+
 def grid_map_violation(f: GridMap) -> Optional[str]:
-    """First violated grid-map condition as a message, else None."""
+    """First violated grid-map condition as a message, else None.
+
+    Each condition is tested in bulk over `_grid_tables`; only a failing
+    one is walked in row-major order to its first violation."""
     g = f.target
     values = f.values
-    for v in values:
-        if not g.has_vertex(v):
-            return f"value {v!r} is not a vertex of the target"
-    for idx, k, (src, dst) in _arrow_images(f):
-        if src != dst and not g.has_arrow(src, dst):
-            return (
-                f"axis {k + 1} arrow at {idx} maps to "
-                f"{src!r} -> {dst!r}, which is not an arrow"
-            )
+    at = values.__getitem__
+    tables = _grid_tables(f.axes)
+    if not g.has_vertices(values):
+        for v in values:
+            if not g.has_vertex(v):
+                return f"value {v!r} is not a vertex of the target"
+    if not g.has_arrows_or_equal(zip(map(at, tables.tails), map(at, tables.heads))):
+        for idx, k, (src, dst) in _arrow_images(f):
+            if src != dst and not g.has_arrow(src, dst):
+                return (
+                    f"axis {k + 1} arrow at {idx} maps to "
+                    f"{src!r} -> {dst!r}, which is not an arrow"
+                )
     if f.mode == "absolute":
         return None
     if f.base is None:
         return "pair/triple mode requires a basepoint"
     if not g.has_vertex(f.base):
         return f"basepoint {f.base!r} is not a vertex of the target"
-    lengths = f.lengths
+    lengths = tables.lengths
     if f.mode == "pair":
-        for v, idx in zip(values, f.indices()):
-            if v != f.base and on_outer_boundary(idx, lengths):
-                return f"boundary vertex {idx} maps to {v!r}, not the basepoint"
+        if not {f.base}.issuperset(map(at, tables.boundary)):
+            for v, idx in zip(values, f.indices()):
+                if v != f.base and on_outer_boundary(idx, lengths):
+                    return f"boundary vertex {idx} maps to {v!r}, not the basepoint"
         return None
     # triple mode
     if f.sub is None:
@@ -231,23 +293,27 @@ def grid_map_violation(f: GridMap) -> Optional[str]:
         return "the constraint subdigraph is not a subdigraph of the target"
     if not f.sub.has_vertex(f.base):
         return "basepoint must lie in the constraint subdigraph"
-    for v, idx in zip(values, f.indices()):
-        if v != f.base and on_collapsed_part(idx, lengths):
-            return f"vertex {idx} on the collapsed part maps to {v!r}, not the basepoint"
-        if on_outer_boundary(idx, lengths) and not f.sub.has_vertex(v):
-            return f"boundary vertex {idx} maps outside the constraint subdigraph"
-    # boundary arrows must map into the subdigraph (or collapse); an arrow
-    # lies in the grid boundary iff some other coordinate is extreme
-    for idx, k, (src, dst) in _arrow_images(f):
-        if (
-            src != dst
-            and any(j != k and (i == 0 or i == m) for j, (i, m) in enumerate(zip(idx, lengths)))
-            and not f.sub.has_arrow(src, dst)
-        ):
-            return (
-                f"boundary arrow at {idx} maps to {src!r} -> {dst!r}, "
-                "which is not an arrow of the constraint subdigraph"
-            )
+    if not (
+        {f.base}.issuperset(map(at, tables.collapsed))
+        and f.sub.has_vertices(map(at, tables.boundary))
+    ):
+        for v, idx in zip(values, f.indices()):
+            if v != f.base and on_collapsed_part(idx, lengths):
+                return f"vertex {idx} on the collapsed part maps to {v!r}, not the basepoint"
+            if on_outer_boundary(idx, lengths) and not f.sub.has_vertex(v):
+                return f"boundary vertex {idx} maps outside the constraint subdigraph"
+    # boundary arrows must map into the subdigraph (or collapse)
+    if not f.sub.has_arrows_or_equal(zip(map(at, tables.rim_tails), map(at, tables.rim_heads))):
+        for idx, k, (src, dst) in _arrow_images(f):
+            if (
+                src != dst
+                and any(j != k and (i == 0 or i == m) for j, (i, m) in enumerate(zip(idx, lengths)))
+                and not f.sub.has_arrow(src, dst)
+            ):
+                return (
+                    f"boundary arrow at {idx} maps to {src!r} -> {dst!r}, "
+                    "which is not an arrow of the constraint subdigraph"
+                )
     return None
 
 
@@ -672,43 +738,55 @@ def hurewicz_chain(f: GridMap) -> CubicalChain:
     arrow points backward).  Degenerate cubes are kept at chain level.
     """
     require_valid(f)
+    n, target = f.dims, f.target
+    return CubicalChain(n, {SingularCube(n, v, target): c for v, c in _cells(f).items()})
+
+
+def _cells(f: GridMap) -> dict[tuple, int]:
+    """The cell decomposition of a map taken as valid (see `hurewicz_chain`)
+    as {cube values tuple: coefficient}, cells first met first."""
     n = f.dims
     if n == 0:
         raise WrongDimensionError("cell decomposition needs dimension >= 1")
-    # each cell by the flat position of its low corner and by its forward
-    # pattern, bit n - 1 - k set iff its axis-(k + 1) arrow points forward
-    origins = _positions([range(ax.length) for ax in f.axes], f._strides)
-    patterns = _positions(
-        [[ax.forward_at(i) for i in range(ax.length)] for ax in f.axes],
-        [1 << (n - 1 - k) for k in range(n)],
-    )
-    corners = _cell_offsets(f._strides)
-    values, target = f.values, f.target
-    terms: dict[SingularCube, int] = {}
-    for origin, pattern in zip(origins, patterns):
-        offsets, sign = corners[pattern]
-        cube = SingularCube(n, tuple([values[origin + d] for d in offsets]), target)
+    positions, signs = _cell_table(f.axes)
+    corners = map(f.values.__getitem__, positions)
+    terms: dict[tuple, int] = {}
+    # zip(*[it] * 2**n) cuts the corner stream into one values tuple per cell
+    for cube, sign in zip(zip(*[corners] * 2**n), signs):
         terms[cube] = terms.get(cube, 0) + sign
-    return CubicalChain(n, terms)
+    return terms
 
 
 @lru_cache(maxsize=256)
-def _cell_offsets(strides: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Corner tables of the unit cells of a grid with these strides, one per
-    forward pattern (see `hurewicz_chain`): the flat offsets from the cell's
-    low corner of the cube's 2^n corners in binary-counter order, each
-    coordinate read forward or backward as the cell's arrow points, and the
-    sign (-1)^(number of backward axes)."""
-    n = len(strides)
-    tables = []
+def _cell_table(axes: tuple[LineSpec, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Corner positions and signs of the unit cells of grids on these axes,
+    cells in row-major order of their low corners: each cell's 2^n corners
+    in binary-counter order, each coordinate read forward or backward as
+    the cell's arrow points, all concatenated; and each cell's sign
+    (-1)^(number of backward axes)."""
+    n = len(axes)
+    strides = _strides([ax.length + 1 for ax in axes])
+    # per forward pattern (bit n - 1 - k set iff the axis-(k + 1) arrow
+    # points forward): corner offsets from the cell's low corner, and sign
+    corners = []
     for pattern in range(2**n):
         forward = [(pattern >> (n - 1 - k)) & 1 for k in range(n)]
-        offsets = tuple(
+        offsets = [
             sum(s * (bit if fw else 1 - bit) for s, bit, fw in zip(strides, corner, forward))
             for corner in product((0, 1), repeat=n)
-        )
-        tables.append((offsets, (-1) ** (n - sum(forward))))
-    return tuple(tables)
+        ]
+        corners.append((offsets, (-1) ** (n - sum(forward))))
+    origins = _positions([range(ax.length) for ax in axes], strides)
+    patterns = _positions(
+        [[ax.forward_at(i) for i in range(ax.length)] for ax in axes],
+        [1 << (n - 1 - k) for k in range(n)],
+    )
+    positions, signs = [], []
+    for origin, pattern in zip(origins, patterns):
+        offsets, sign = corners[pattern]
+        positions.extend([origin + d for d in offsets])
+        signs.append(sign)
+    return tuple(positions), tuple(signs)
 
 
 def hurewicz_class(
@@ -718,20 +796,22 @@ def hurewicz_class(
 ) -> HomologyClass:
     """Class of the cell decomposition in cubical homology: absolute for
     pair mode, relative to the constraint subdigraph for triple mode."""
+    require_valid(f)
     n = f.dims
-    ch = hurewicz_chain(f)
+    cells = _cells(f)
     if f.mode == "triple":
         pair = build_cubical_pair(f.target, f.sub, n + 1, dim_bound, vertex_bound)
-        return pair.pair.quotient_class(n, pair.ambient.chain_coords(ch))
+        return pair.pair.quotient_class(n, pair.ambient.values_coords(n, cells))
     cc = build_cubical_complex(f.target, n + 1, dim_bound, vertex_bound)
-    return cc.class_of(ch)
+    return cc.complex.class_of(n, cc.values_coords(n, cells))
 
 
 def glmy_hurewicz(f: GridMap) -> HomologyClass:
     """Class of the cell decomposition pushed into path homology (the
     comparison map applied to the cubical class, computed at chain level)."""
+    require_valid(f)
     n = f.dims
-    pc = iota(hurewicz_chain(f))
+    pc = iota_values(n, _cells(f))
     if f.mode == "triple":
         pair = build_omega_pair(f.target, f.sub, n + 1)
         return pair.quotient_class(pc)

@@ -536,18 +536,20 @@ class Echelon:
     after adding a spanning set the basis generates the same lattice.
     Membership and coordinate solves are forced forward reductions.
     Basis positions follow the sorted pivots; the pivot -> position map
-    is cached until the next `add`.
+    and the basis list are cached until the next `add`.
     """
 
     def __init__(self):
         self.pivots: dict[int, dict] = {}
         self._position: Optional[dict[int, int]] = None
+        self._basis: Optional[list[dict]] = None
 
     def __len__(self):
         return len(self.pivots)
 
     def add(self, vec: dict) -> None:
         self._position = None
+        self._basis = None
         v = dict(vec)
         while v:
             p = min(v)
@@ -576,7 +578,10 @@ class Echelon:
                 v = w
 
     def basis_vectors(self) -> list[dict]:
-        return [self.pivots[p] for p in self._positions()]
+        """The basis in position order (a cached list: do not modify it)."""
+        if self._basis is None:
+            self._basis = [self.pivots[p] for p in self._positions()]
+        return self._basis
 
     def _positions(self) -> dict[int, int]:
         if self._position is None:

@@ -134,13 +134,15 @@ def allowed_paths(g: Digraph, n: int) -> list[tuple]:
 
 
 def _boundary_faces(path: tuple) -> list[tuple[tuple, int]]:
-    """Regular faces of one path, with alternating signs."""
-    out = []
-    for i in range(len(path)):
-        face = path[:i] + path[i + 1 :]
-        if is_regular(face):
-            out.append((face, (-1) ** i))
-    return out
+    """Regular faces of one regular path, with alternating signs: removing
+    an interior vertex makes a face irregular only if its two neighbours
+    are equal."""
+    last = len(path) - 1
+    return [
+        (path[:i] + path[i + 1 :], (-1) ** i)
+        for i in range(last + 1)
+        if not 0 < i < last or path[i - 1] != path[i + 1]
+    ]
 
 
 def regular_boundary(chain: PathChain) -> PathChain:
@@ -183,33 +185,37 @@ class OmegaComplex(Reducible):
         for n in range(len(self.allowed), maxdeg + 1):
             paths = allowed_paths(self.digraph, n)
             below_index = self.path_index.get(n - 1, {})
+            # each path's faces, once: the allowed ones as (row below, sign),
+            # the others as a column over the non-allowed faces
+            below_faces, cols = [], []
+            nonallowed_rows: dict[tuple, int] = {}
+            for p in paths:
+                below: list[tuple[int, int]] = []
+                col: dict[int, int] = {}
+                for face, sign in _boundary_faces(p):
+                    row = below_index.get(face)
+                    if row is not None:
+                        below.append((row, sign))
+                    else:
+                        row = nonallowed_rows.setdefault(face, len(nonallowed_rows))
+                        col[row] = col.get(row, 0) + sign
+                below_faces.append(below)
+                cols.append({k: v for k, v in col.items() if v})
+            # in degree 0 the empty face has no row, so every boundary is zero
             if n == 0:
                 basis = [{i: 1} for i in range(len(paths))]
             else:
-                nonallowed_rows: dict[tuple, int] = {}
-                cols = []
-                for p in paths:
-                    col: dict[int, int] = {}
-                    for face, sign in _boundary_faces(p):
-                        if face in below_index:
-                            continue
-                        row = nonallowed_rows.setdefault(face, len(nonallowed_rows))
-                        col[row] = col.get(row, 0) + sign
-                    cols.append({k: v for k, v in col.items() if v})
                 basis = sparse_kernel_basis(cols, len(nonallowed_rows))
             ech = Echelon()
             for vec in basis:
                 ech.add(vec)
-            # in degree 0 the empty face has no row, so every boundary is zero
             below_ech = self._echelons.get(n - 1, Echelon())
             bcols = []
             for vec in ech.basis_vectors():
                 db: dict[int, int] = {}
                 for idx, coeff in vec.items():
-                    for face, sign in _boundary_faces(paths[idx]):
-                        row = below_index.get(face)
-                        if row is not None:
-                            db[row] = db.get(row, 0) + sign * coeff
+                    for row, sign in below_faces[idx]:
+                        db[row] = db.get(row, 0) + sign * coeff
                 db = {k: v for k, v in db.items() if v}
                 sol = below_ech.solve(db)
                 if sol is None:
@@ -256,8 +262,7 @@ class OmegaComplex(Reducible):
         vec = self.lattice_coords(chain)
         if vec is None:
             raise NotACycleError("chain is not in the allowed-boundary lattice")
-        hd = self.complex.homology(chain.degree)
-        return HomologyClass(hd.group, hd.class_vector(vec))
+        return self.complex.class_of(chain.degree, vec)
 
 
 _omega_complex = lru_cache(maxsize=128)(OmegaComplex)

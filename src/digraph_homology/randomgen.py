@@ -15,8 +15,9 @@ from .grids import (
     CertificateStep,
     GridMap,
     ShrinkingMap,
+    _grid_tables,
+    _relation,
     constant_grid_map,
-    direct_homotopy,
     grid_map_violation,
     shrink_by_pair_insertions,
     subdivide,
@@ -108,21 +109,18 @@ def random_shrinking(
 
 
 def random_direct_move(rng: random.Random, f: GridMap, tries: int = 30) -> Optional[tuple]:
-    """A valid grid map one direct-homotopy step away from f, with its
-    direction; None if no move is found."""
-    from .grids import on_outer_boundary
-
-    idx_pool = [
-        idx
-        for idx in f.indices()
-        if f.mode == "absolute" or not on_outer_boundary(idx, f.lengths)
-    ]
-    if not idx_pool:
+    """A valid grid map one direct-homotopy step away from the valid map
+    f, with its direction; None if no move is found."""
+    # the flat positions a move may change: all but the boundary that pair
+    # and triple modes fix, in row-major order
+    fixed = set() if f.mode == "absolute" else set(_grid_tables(f.axes).boundary)
+    pool = [p for p in range(f.size) if p not in fixed]
+    if not pool:
         return None
     t = f.target
     for _ in range(tries):
-        idx = idx_pool[rng.randrange(len(idx_pool))]
-        cur = f.value(idx)
+        p = pool[rng.randrange(len(pool))]
+        cur = f.values[p]
         fwd = list(t.out_neighbors(cur))
         bwd = list(t.in_neighbors(cur))
         options = [(w, "fwd") for w in fwd] + [(w, "bwd") for w in bwd]
@@ -130,12 +128,11 @@ def random_direct_move(rng: random.Random, f: GridMap, tries: int = 30) -> Optio
             continue
         w, direction = options[rng.randrange(len(options))]
         values = list(f.values)
-        values[f.flat_index(idx)] = w
+        values[p] = w
         g = f.with_values(values)
         if grid_map_violation(g) is not None:
             continue
-        rel = direct_homotopy(f, g)
-        if direction in rel:
+        if direction in _relation(f, g):
             return g, direction
     return None
 

@@ -218,6 +218,34 @@ def test_hurewicz_invalid_gridmap_exit_code(tmp_path, capsys):
     assert code == 5
 
 
+LINE = {"vertices": ["0", "1"], "arrows": [["0", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"axes": [], "values": ["0"], "mode": "pair", "base": "0", "target": LINE},
+        {
+            "axes": [],
+            "values": ["1"],
+            "mode": "triple",
+            "base": "0",
+            "A": {"vertices": ["0"], "arrows": []},
+            "target": LINE,
+        },
+        {"axes": [{"len": 2}], "values": ["0", "1", "1"], "mode": "absolute", "target": LINE},
+    ],
+    ids=["zero-dimensional", "zero-dimensional-triple", "not-a-cycle"],
+)
+def test_hurewicz_without_a_class_exit_code(tmp_path, capsys, document):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "hurewicz", path, "--show-chain")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: no Hurewicz class:") and err.count("\n") == 1
+
+
 def test_compare_command(c4_file, capsys):
     code, out, _ = run_cli(capsys, "compare", c4_file, "--dim", "1", "--json")
     assert code == 0

@@ -13,8 +13,10 @@ from digraph_homology.cubes import (
     build_cubical_complex,
     build_cubical_pair,
     comparison_L,
+    iota,
     is_degenerate,
 )
+from digraph_homology.chains import NotACycleError
 from digraph_homology.digraphs import (
     LineSpec,
     build_digraph,
@@ -698,3 +700,66 @@ def test_certificate_entry_points_validate_each_map_once(monkeypatch):
         find_certificate(bad, c2)
     with pytest.raises(InvalidGridMapError):
         direct_homotopy(bad, bad)
+
+
+# --- the class route against the chain route ----------------------------------
+
+
+def winding_loop(m: int, w: int, mode: str = "pair") -> GridMap:
+    """A based loop on the standard line of length 2m|w| winding w times
+    around the m-cycle: one step per forward arrow for w > 0, one per
+    backward arrow for w < 0."""
+    values = [0]
+    for i in range(2 * m * abs(w)):
+        step = 1 if w > 0 and i % 2 == 0 else -1 if w < 0 and i % 2 else 0
+        values.append((values[-1] + step) % m)
+    base = 0 if mode == "pair" else None
+    return GridMap((standard_line(len(values) - 1),), tuple(values), cycle_digraph(m), mode, base)
+
+
+def chain_route_classes(f: GridMap):
+    """The cubical and path classes read off `hurewicz_chain`."""
+    n, ch = f.dims, hurewicz_chain(f)
+    if f.mode == "triple":
+        cubical = build_cubical_pair(f.target, f.sub, n + 1)
+        path = build_omega_pair(f.target, f.sub, n + 1)
+        return (
+            cubical.pair.quotient_class(n, cubical.ambient.chain_coords(ch)),
+            path.quotient_class(iota(ch)),
+        )
+    cubical = build_cubical_complex(f.target, n + 1)
+    return cubical.class_of(ch), build_omega_complex(f.target, n + 1).class_of(iota(ch))
+
+
+def test_class_route_matches_chain_route():
+    known = []  # (map, winding number of its class)
+    for m in (3, 4, 5, 6):
+        loops = {w: winding_loop(m, w) for w in (1, -1, 2, -2)}
+        known += [(f, w) for w, f in loops.items()]
+        known += [(winding_loop(m, w, "absolute"), w) for w in (1, -2)]
+        known += [(concat_mu(1, loops[1], loops[2]), 3), (concat_mu(1, loops[-1], loops[1]), 0)]
+        known += [(inverse_j(1, loops[-2]), 2), (inverse_j(1, loops[1]), -1)]
+    maps = [f for f, _ in known]
+    for w in (1, -2):
+        triple = cone_triple_map(winding_loop(4, w))
+        maps += [triple, inverse_j(2, triple), concat_mu(2, triple, triple)]
+    rng = random.Random(97)
+    for mode in grids.MODES:
+        for lengths in ((2,), (4,), (2, 2), (4, 2)):
+            maps += [random_valid_map(rng, mode, lengths) for _ in range(3)]
+    nonzero = 0
+    for f in maps:
+        try:
+            expected = chain_route_classes(f)
+        except NotACycleError:
+            assert f.mode == "absolute"
+            for route in (hurewicz_class, glmy_hurewicz):
+                with pytest.raises(NotACycleError):
+                    route(f)
+            continue
+        assert (hurewicz_class(f), glmy_hurewicz(f)) == expected
+        nonzero += not expected[0].is_zero()
+    # every known map with w != 0 and the six cone fillers have nonzero classes
+    assert nonzero >= sum(w != 0 for _, w in known) + 6
+    for f, w in known:
+        assert hurewicz_class(f).coords == glmy_hurewicz(f).coords == (w,)

@@ -250,3 +250,12 @@ def test_random_unimodular():
     for n in (1, 2, 4):
         m = random_unimodular(rng, n)
         assert is_unimodular(m)
+
+
+def test_echelon_basis_list_follows_add():
+    e = Echelon()
+    e.add({1: 1})
+    assert e.basis_vectors() == [{1: 1}]
+    e.add({0: 2, 1: 1})
+    assert e.basis_vectors() == [{0: 2, 1: 1}, {1: 1}]
+    assert e.solve({0: 2, 1: 3}) == {0: 1, 1: 2}

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,13 @@ from digraph_homology.intlinalg import AbelianGroup, Echelon
 from digraph_homology.paths import (
     InvalidMappingError,
     PathChain,
+    _boundary_faces,
     allowed_paths,
     build_omega_complex,
     build_omega_pair,
     path_homology,
     path_suspension_map,
+    is_regular,
     pushforward,
     regular_boundary,
     suspension_cycle,
@@ -265,3 +268,10 @@ def test_chain_json_roundtrip():
     ]
     again = PathChain.from_json(blob)
     assert again == PathChain(1, {("0", "1"): 1, ("3", "0"): -2})
+
+
+def test_boundary_faces_match_the_regularity_filter():
+    for length in range(1, 6):
+        for path in filter(is_regular, product(range(3), repeat=length)):
+            faces = [(path[:i] + path[i + 1 :], (-1) ** i) for i in range(length)]
+            assert _boundary_faces(path) == [(f, s) for f, s in faces if is_regular(f)]
