@@ -84,7 +84,7 @@ class ChainComplex:
             raise DimensionMismatchError(f"boundary at degree {n} has wrong column count")
         below = self.dim(n - 1)
         for col in cols:
-            if any(not 0 <= i < below for i in col):
+            if col and not (0 <= min(col) and max(col) < below):
                 raise DimensionMismatchError(f"boundary at degree {n} hits a bad row")
         self.degrees[n] = basis
         self.boundary_cols[n] = cols
@@ -443,8 +443,8 @@ class ChainComplexPair(Reducible):
             ad = self._adapters[n] = _DegreeAdapter(self.ambient.dim(n), cols)
             below = self._adapters.get(n - 1)
             q_cols = [
-                below.quotient_coords(self.ambient.boundary_of(n, ad.section(j))) if below else {}
-                for j in range(ad.quot_dim)
+                below.quotient_coords(col) if below else {}
+                for col in ad.section_boundaries(self.ambient, n)
             ]
             self.quotient.add_degree(n, [f"q{n}:{j}" for j in range(ad.quot_dim)], q_cols)
 
@@ -642,6 +642,14 @@ class _DegreeAdapter:
             for i, v in enumerate(self._Uinv.column(self.sub_dim + j))
             if v
         }
+
+    def section_boundaries(self, ambient: ChainComplex, n: int) -> list[dict]:
+        """Ambient boundaries of the quotient generators' sections: in coordinate
+        mode the ambient columns themselves (unit sections; do not modify them)."""
+        if self._mode == "coordinate":
+            cols = ambient.boundary_cols.get(n, ())
+            return [cols[r] for r in self._quot_rows]
+        return [ambient.boundary_of(n, self.section(j)) for j in range(self.quot_dim)]
 
     def quotient_coords(self, vec: dict) -> dict:
         if self._mode == "coordinate":

@@ -7,12 +7,12 @@ Degenerate cubes (constant along some axis) span the subcomplex that is
 quotiented away.  Relative homology comes from the pair of the complexes
 of a digraph and of a subdigraph.
 
-Every corner-index computation reads small per-dimension index tables,
-built once per n (`_tables`): the corners of each face, the corner pairs
-along each axis that decide degeneracy and validity, the lower neighbours
-of each corner that constrain enumeration, and the corner paths of the
-unit grid's generator.  Faces, degeneracy tests and `iota` images are
-then tuple gathers from a cube's values.
+Complexes enumerate cubes by face composition, as pairs of integer ids
+of degree n - 1 (`_level`).  Single cubes read small per-dimension index
+tables (`_tables`): the corners of each face, the corner pairs along each
+axis that decide degeneracy and validity, and the corner paths of the
+unit grid's generator, so faces, degeneracy tests and `iota` images are
+tuple gathers from a cube's values.
 
 Also houses the corner-to-corner generator of the unit grid's allowed
 chains, the induced chain map into path chains, and the comparison map
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import count, permutations
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -79,7 +79,6 @@ class _Tables(NamedTuple):
 
     boundary: tuple[tuple[Callable, int], ...]
     axes: tuple[tuple[Callable, Callable], ...]
-    lower: tuple[tuple[int, ...], ...]
     omega: tuple[tuple[Callable, int], ...]
 
 
@@ -93,8 +92,6 @@ def _tables(n: int) -> _Tables:
       k = 0 and -(-1)^i for the back face k = 1;
     - `axes[k]` gathers the low and the high corner of every edge along
       axis k + 1, so a cube is degenerate iff both gathers agree for some axis;
-    - `lower[idx]` lists the corners one step below corner idx, one per
-      set coordinate, first coordinate first;
     - `omega` gathers each corner path of `omega_generator(n)` with its sign.
     """
     if n < 0:
@@ -110,14 +107,11 @@ def _tables(n: int) -> _Tables:
         low = tuple(corner_index(x) for x in corners if not x[k])
         high = tuple(corner_index(x[:k] + (1,) + x[k + 1 :]) for x in corners if not x[k])
         axes.append((_gather(low), _gather(high)))
-    lower = tuple(
-        tuple(corner_index(x[:k] + (0,) + x[k + 1 :]) for k in range(n) if x[k]) for x in corners
-    )
     omega = tuple(
         (_gather(tuple(corner_index(x) for x in path)), sign)
         for path, sign in omega_generator(n).terms.items()
     )
-    return _Tables(tuple(boundary), tuple(axes), lower, omega)
+    return _Tables(tuple(boundary), tuple(axes), omega)
 
 
 def _degenerate(values: tuple, axes: tuple[tuple[Callable, Callable], ...]) -> bool:
@@ -250,36 +244,54 @@ def _require_bounds(g: Digraph, n: int, dim_bound: int, vertex_bound: int) -> No
         raise BoundExceededError(f"{g.n_vertices} vertices exceed bound {vertex_bound}")
 
 
-def _cube_values(g: Digraph, n: int) -> list[tuple]:
-    """Values tuples of all singular n-cubes of g, by backtracking over
-    corners in binary-counter order; deterministic output order."""
-    verts = list(g.vertices)
-    succ = {v: (v,) + g.out_neighbors(v) for v in verts}
-    lower = _tables(n).lower
+class _Level(NamedTuple):
+    """The singular n-cubes of a digraph by integer id; see `_level`."""
 
-    total = 2**n
-    out: list[tuple] = []
-    values: list = [None] * total
+    his: Optional[list]  # per (n-1)-cube id a: the ids h with (a, h) an n-cube
+    pid: Optional[dict]  # (a, h) -> id of the n-cube (a, h)
+    faces: list  # per id: the ids of faces (1, 0), (1, 1), (2, 0), ..., (n, 1)
+    mask: list  # per id: bit i set iff the cube is constant along axis i + 1
+    values: list
+    rows: list  # per id: position in the quotient basis, None if degenerate
 
-    def fill(idx: int):
-        if idx == total:
-            out.append(tuple(values))
-            return
-        below = lower[idx]
-        if below:
-            cands = succ[values[below[0]]]
-            for j in below[1:]:
-                allow = succ[values[j]]
-                cands = [v for v in cands if v in allow]
-        else:
-            cands = verts
-        for v in cands:
-            values[idx] = v
-            fill(idx + 1)
-        values[idx] = None
 
-    fill(0)
-    return out
+def _level(g: Digraph, below: Optional[_Level], keep: bool = True) -> _Level:
+    """The n-cubes of g from the (n-1)-cubes `below` (the vertices if None).
+
+    An n-cube is the pair (lo, hi) of its faces x_1 = 0 and x_1 = 1.  The
+    hi that go with lo = (A, B) are the (n-1)-cubes (C, D) with C among the
+    hi of A and D among those of B; those of a vertex are its successors,
+    itself first.  Ids run lo first, then hi in that candidate order: the
+    binary-counter order of the values tuples.  Face (i, k) for i > 1 is
+    the pair of faces (i - 1, k) of lo and hi, and the cube is constant
+    along axis 1 iff lo == hi, along axis i > 1 iff lo and hi are along
+    axis i - 1.  Without `keep` (the top degree of a build) `pid` is not
+    made and degenerate cubes get no faces or values.
+    """
+    if below is None:
+        size = len(g.vertices)
+        return _Level(None, {}, [()] * size, [0] * size, [(v,) for v in g.vertices], [*range(size)])
+    if below.his is None:
+        his = [[g.index(w) for w in (v,) + g.out_neighbors(v)] for v in g.vertices]
+    else:
+        up, get = below.his, below.pid.get
+        his = [
+            [i for c in up[a] for d in up[b] if (i := get((c, d))) is not None]
+            for a, hs in enumerate(up)
+            for b in hs
+        ]
+    pairs = [(a, h) for a, hs in enumerate(his) for h in hs]
+    bfaces, bmask, bvalues = below.faces, below.mask, below.values
+    mask = [(a == h) | ((bmask[a] & bmask[h]) << 1) for a, h in pairs]
+    face_id = below.pid.__getitem__
+    faces = [
+        (a, h, *map(face_id, zip(bfaces[a], bfaces[h]))) if keep or not m else None
+        for (a, h), m in zip(pairs, mask)
+    ]
+    values = [bvalues[a] + bvalues[h] if keep or not m else None for (a, h), m in zip(pairs, mask)]
+    position = count()
+    rows = [None if m else next(position) for m in mask]
+    return _Level(his, dict(zip(pairs, count())) if keep else None, faces, mask, values, rows)
 
 
 def enumerate_cubes(
@@ -288,23 +300,30 @@ def enumerate_cubes(
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
 ) -> list[SingularCube]:
-    """All singular n-cubes of g, by backtracking over corners in
-    lexicographic (binary-counter) order; deterministic output order.
-    """
+    """All singular n-cubes of g, in binary-counter order of their values."""
     _require_bounds(g, n, dim_bound, vertex_bound)
-    return [SingularCube(n, v, g) for v in _cube_values(g, n)]
+    level = None
+    for _ in range(n + 1):
+        level = _level(g, level)
+    return [SingularCube(n, v, g) for v in level.values]
 
 
 class CubicalComplex(Reducible):
     """Quotient cubical chain complex with basis the nondegenerate cubes,
-    built degree by degree as it is read (`grow`).  `reduced` is the same
-    complex augmented to Z in degree -1."""
+    built degree by degree as it is read (`grow`).  `basis[n]` holds their
+    values tuples.  `reduced` is the same complex augmented to Z in degree -1.
+
+    Degree n is built from the id tables (`_Level`) of degree n - 1.  Every
+    degree below the top degree of a `grow` keeps its tables; the top degree
+    keeps only its basis, index and columns, and a later `grow` past it
+    rebuilds its tables from the degree below."""
 
     def __init__(self, g: Digraph):
         self.digraph = g
-        self.basis: dict[int, list[SingularCube]] = {}
-        # per degree: values tuple of each basis cube -> its position
+        # per degree: the values tuples of the basis cubes, and their positions
+        self.basis: dict[int, list[tuple]] = {}
         self.index: dict[int, dict[tuple, int]] = {}
+        self._levels: list[_Level] = []
         self.complex = ChainComplex({}, {}, self.grow)
 
     def grow(
@@ -319,21 +338,29 @@ class CubicalComplex(Reducible):
         g = self.digraph
         for n in range(maxdim + 1):
             _require_bounds(g, n, dim_bound, vertex_bound)
+        levels = self._levels
         for n in range(len(self.basis), maxdim + 1):
-            rows = self.index.get(n - 1, {})
-            tables = _tables(n)
-            values = [v for v in _cube_values(g, n) if not _degenerate(v, tables.axes)]
-            cols = []
-            for v in values:
+            while len(levels) < n:  # a build's top degree keeps no id tables
+                levels.append(_level(g, levels[-1] if levels else None))
+            below = levels[n - 1] if n else None
+            level = _level(g, below, keep=n < maxdim)
+            if n < maxdim:
+                levels.append(level)
+            signs = [sign for _, sign in _tables(n).boundary]
+            rows = below.rows if below else ()
+            values, cols = [], []
+            for faces, v, row in zip(level.faces, level.values, level.rows):
+                if row is None:
+                    continue
                 col: dict[int, int] = {}
-                for gather, sign in tables.boundary:
-                    row = rows.get(gather(v))
-                    if row is not None:  # None: the face is degenerate
-                        col[row] = col.get(row, 0) + sign
-                cols.append({r: x for r, x in col.items() if x})
-            cubes = [SingularCube(n, v, g) for v in values]
-            self.complex.add_degree(n, cubes, cols)
-            self.basis[n] = cubes
+                for f, sign in zip(faces, signs):
+                    r = rows[f]
+                    if r is not None:  # None: the face is degenerate
+                        col[r] = col.get(r, 0) + sign
+                values.append(v)
+                cols.append({r: x for r, x in col.items() if x} if 0 in col.values() else col)
+            self.complex.add_degree(n, values, cols)
+            self.basis[n] = values
             self.index[n] = {v: i for i, v in enumerate(values)}
         return self
 
@@ -359,7 +386,8 @@ class CubicalComplex(Reducible):
         return self.values_coords(ch.dim, {c.values: k for c, k in ch.terms.items()})
 
     def coords_to_chain(self, n: int, vec: dict) -> CubicalChain:
-        return CubicalChain(n, {self.basis[n][j]: coeff for j, coeff in vec.items()})
+        basis, g = self.basis[n], self.digraph
+        return CubicalChain(n, {SingularCube(n, basis[j], g): coeff for j, coeff in vec.items()})
 
     def homology(self, n: int) -> AbelianGroup:
         return self.complex.homology(n).group
@@ -420,7 +448,7 @@ class CubicalPair(Reducible):
 
     def _inclusion_cols(self, n: int) -> list:
         index = self.ambient.index[n]
-        return [{index[c.values]: 1} for c in self.sub.basis[n]]
+        return [{index[v]: 1} for v in self.sub.basis[n]]
 
 
 _cubical_pair = lru_cache(maxsize=64)(CubicalPair)
@@ -557,6 +585,6 @@ def cubical_suspension_map(
 
     def include(k: int, vec: dict) -> dict:
         basis, index = pair_cone.ambient.basis[k], pair_susp.ambient.index[k]
-        return {index[basis[j].values]: coeff for j, coeff in vec.items()}
+        return {index[basis[j]]: coeff for j, coeff in vec.items()}
 
     return suspension_composite(pair_cone.pair, pair_susp.pair, n, include)

@@ -189,23 +189,18 @@ def on_collapsed_part(idx: Sequence[int], lengths: Sequence[int]) -> bool:
     return any(i == 0 or i == m for i, m in zip(idx[1:], lengths[1:]))
 
 
-def _arrow_images(f: GridMap):
-    """(index, axis, (source value, target value)) for every arrow of the
-    grid, by tail position in row-major order and then by axis."""
+def _first_bad_arrow(f: GridMap, is_arrow, tails, heads) -> tuple[int, str]:
+    """The axis (from 0) and the place, "at {index} maps to {source!r} ->
+    {target!r}", of the first arrow in the tables `tails`, `heads` whose
+    image is neither collapsed nor an arrow (`is_arrow`); there must be one."""
     values = f.values
-    # per axis: its stride and, per coordinate, whether the arrow to the
-    # next coordinate points forward (None at the far end)
-    steps = [
-        (k, stride, [ax.forward_at(i) for i in range(ax.length)] + [None])
-        for k, (ax, stride) in enumerate(zip(f.axes, f._strides))
-    ]
-    for p, idx in enumerate(f.indices()):
-        a = values[p]
-        for k, stride, forward in steps:
-            fw = forward[idx[k]]
-            if fw is not None:
-                b = values[p + stride]
-                yield idx, k, (a, b) if fw else (b, a)
+    for p, q in zip(tails, heads):
+        src, dst = values[p], values[q]
+        if src != dst and not is_arrow(src, dst):
+            break
+    idx = tuple(min(p, q) // s % m for s, m in zip(f._strides, f._shape))
+    # an axis of length 0 repeats the stride of the axis before it
+    return f._strides.index(abs(q - p)), f"at {idx} maps to {src!r} -> {dst!r}"
 
 
 class _GridTables(NamedTuple):
@@ -265,12 +260,8 @@ def grid_map_violation(f: GridMap) -> Optional[str]:
             if not g.has_vertex(v):
                 return f"value {v!r} is not a vertex of the target"
     if not g.has_arrows_or_equal(zip(map(at, tables.tails), map(at, tables.heads))):
-        for idx, k, (src, dst) in _arrow_images(f):
-            if src != dst and not g.has_arrow(src, dst):
-                return (
-                    f"axis {k + 1} arrow at {idx} maps to "
-                    f"{src!r} -> {dst!r}, which is not an arrow"
-                )
+        k, where = _first_bad_arrow(f, g.has_arrow, tables.tails, tables.heads)
+        return f"axis {k + 1} arrow {where}, which is not an arrow"
     if f.mode == "absolute":
         return None
     if f.base is None:
@@ -304,16 +295,8 @@ def grid_map_violation(f: GridMap) -> Optional[str]:
                 return f"boundary vertex {idx} maps outside the constraint subdigraph"
     # boundary arrows must map into the subdigraph (or collapse)
     if not f.sub.has_arrows_or_equal(zip(map(at, tables.rim_tails), map(at, tables.rim_heads))):
-        for idx, k, (src, dst) in _arrow_images(f):
-            if (
-                src != dst
-                and any(j != k and (i == 0 or i == m) for j, (i, m) in enumerate(zip(idx, lengths)))
-                and not f.sub.has_arrow(src, dst)
-            ):
-                return (
-                    f"boundary arrow at {idx} maps to {src!r} -> {dst!r}, "
-                    "which is not an arrow of the constraint subdigraph"
-                )
+        _, where = _first_bad_arrow(f, f.sub.has_arrow, tables.rim_tails, tables.rim_heads)
+        return f"boundary arrow {where}, which is not an arrow of the constraint subdigraph"
     return None
 
 

@@ -638,9 +638,10 @@ def sparse_kernel_basis(cols: list[dict], nrows: int) -> list[dict]:
         for i in col:
             row_index.setdefault(i, set()).add(j)
 
-    def touch(j, w):
+    def touch(j, w, r):
+        # rows at or below r are never read again
         for i in w:
-            if i < nrows:
+            if r < i < nrows:
                 row_index.setdefault(i, set()).add(j)
 
     retired = [False] * ncols
@@ -671,8 +672,8 @@ def sparse_kernel_basis(cols: list[dict], nrows: int) -> list[dict]:
                         new_w[i] = s
                 work[pivot_j] = pv = new_p
                 work[j] = w = new_w
-                touch(pivot_j, pv)
-            touch(j, w)
+                touch(pivot_j, pv, r)
+            touch(j, w, r)
         retired[pivot_j] = True
 
     out = []

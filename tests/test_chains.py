@@ -76,6 +76,15 @@ def test_homology_checks_square_zero():
         homology_of(bad, 1)
 
 
+def test_boundary_columns_must_hit_the_rows_below():
+    c = ChainComplex({0: ["a", "b"]}, {0: [{}, {}]})
+    for col in ({2: 1}, {-1: 1}, {0: 1, 2: -1}):
+        with pytest.raises(DimensionMismatchError, match="^boundary at degree 1 hits a bad row$"):
+            c.add_degree(1, ["e"], [col])
+    c.add_degree(1, ["e", "f"], [{0: 1, 1: -1}, {}])
+    assert c.boundary_cols[1] == [{0: 1, 1: -1}, {}]
+
+
 def test_homology_invariant_under_unimodular_change_of_basis():
     rng = random.Random(11)
     base = [[2, 0, 4], [0, 6, 6]]

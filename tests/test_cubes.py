@@ -1,5 +1,6 @@
 import json
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from digraph_homology.cli import main
 from digraph_homology.cubes import (
     BoundExceededError,
     CubicalChain,
+    CubicalComplex,
     IndexOutOfRangeError,
     SingularCube,
     build_cubical_complex,
@@ -26,6 +28,7 @@ from digraph_homology.cubes import (
     omega_generator,
 )
 from digraph_homology.digraphs import (
+    box_product,
     build_digraph,
     cone,
     cycle_digraph,
@@ -242,8 +245,13 @@ def reference_cubes(g, n):
     return out
 
 
+@lru_cache(maxsize=None)
+def reference_corners(n):
+    return cube_corners(n)
+
+
 def reference_face(c, i, k):
-    vals = [c.corner(x[: i - 1] + (k,) + x[i - 1 :]) for x in cube_corners(c.dim - 1)]
+    vals = [c.corner(x[: i - 1] + (k,) + x[i - 1 :]) for x in reference_corners(c.dim - 1)]
     return SingularCube(c.dim - 1, tuple(vals), c.target)
 
 
@@ -316,7 +324,7 @@ def test_cubical_complex_matches_per_corner_reference():
             index = {}
             for n in range(4):
                 basis = [c for c in reference_cubes(g, n) if not reference_is_degenerate(c)]
-                assert cc.basis[n] == basis
+                assert cc.basis[n] == [c.values for c in basis]
                 assert cc.index[n] == {c.values: j for j, c in enumerate(basis)}
                 cols = []
                 for c in basis:
@@ -330,6 +338,88 @@ def test_cubical_complex_matches_per_corner_reference():
                     cols.append({r: v for r, v in col.items() if v})
                 assert cc.complex.boundary_cols[n] == cols
                 index = cc.index[n]
+
+
+def shuffled_digraphs():
+    """Digraphs whose vertex order, and with it the order of every
+    out-neighbour list, is not the order of their labels (small enough
+    for the per-corner reference at degree 4)."""
+    return [
+        build_digraph([2, 0, 3, 1], [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        build_digraph(["c", "a", "b"], [("a", "b"), ("a", "c"), ("b", "c")]),
+        build_digraph([1, 3, 0, 2, 4], [(0, 4), (2, 0), (3, 2), (3, 4), (4, 1)]),
+        build_digraph([3, 0, 2, 1, 4], [(1, 0), (2, 0), (2, 1)]),
+    ]
+
+
+def reference_columns(basis, below):
+    """Boundary columns of the nondegenerate cubes `basis` in the
+    nondegenerate cubes `below`, one degree lower."""
+    index = {c.values: j for j, c in enumerate(below)}
+    cols = []
+    for c in basis:
+        col = {}
+        for f, sign in reference_boundary(c).terms.items():
+            row = index.get(f.values)
+            if row is not None:
+                col[row] = col.get(row, 0) + sign
+        cols.append({r: v for r, v in col.items() if v})
+    return cols
+
+
+def test_face_composition_matches_the_reference_to_degree_4():
+    for g in shuffled_digraphs():
+        bases = [[c for c in reference_cubes(g, n) if not reference_is_degenerate(c)] for n in range(5)]
+        cols = [reference_columns(bases[n], bases[n - 1]) if n else [] for n in range(5)]
+        for reduced in (False, True):
+            cols[0] = [{0: 1} if reduced else {} for _ in bases[0]]
+            build_cubical_complex.cache_clear()
+            for n in range(5):  # one degree at a time: each grow rebuilds the last one's tables
+                one_by_one = build_cubical_complex(g, n, 4, reduced=reduced)
+            at_once = CubicalComplex(g).grow(4, 4)
+            for cc in (one_by_one, at_once.reduced if reduced else at_once):
+                for n in range(5):
+                    assert cc.basis[n] == [c.values for c in bases[n]]
+                    assert cc.index[n] == {c.values: j for j, c in enumerate(bases[n])}
+                    assert cc.complex.boundary_cols[n] == cols[n]
+
+
+def test_enumerate_cubes_matches_the_reference_at_degree_4():
+    for g in shuffled_digraphs():
+        cubes = enumerate_cubes(g, 4, dim_bound=4)
+        assert cubes == reference_cubes(g, 4)
+        assert any(reference_is_degenerate(c) for c in cubes)
+
+
+def test_pinned_suspension_and_comparison_coordinates():
+    """Generator coordinates follow the basis order, so they are pinned."""
+    line = build_digraph([0, 1], [(0, 1)])
+    r = build_digraph(
+        [3, 0, 5, 2, 4, 1],
+        [(0, 5), (1, 3), (1, 4), (2, 0), (3, 0), (4, 1), (4, 5), (5, 1), (5, 2)],
+    )
+    cases = [
+        (cycle_digraph(3), ((1,),), [{(2, 0): 1, (0, 1): 1, (1, 2): 1}]),
+        (
+            box_product(cycle_digraph(4), line),
+            ((1,),),
+            [{((3, 1), (0, 1)): 1, ((2, 1), (3, 1)): 1, ((1, 1), (2, 1)): 1, ((0, 1), (1, 1)): 1}],
+        ),
+        (
+            r,
+            ((1, 0), (0, 1)),
+            [{(1, 3): 1, (3, 0): 1, (0, 5): 1, (5, 1): 1}, {(2, 0): 1, (0, 5): 1, (5, 2): 1}],
+        ),
+    ]
+    for x, matrix_1, representatives in cases:
+        assert cubical_suspension_map(x, 0).matrix.data == ()
+        assert comparison_L(x, 0).matrix.data == ((1,),)
+        assert cubical_suspension_map(x, 1).matrix.data == matrix_1
+        assert comparison_L(x, 1).matrix.data == matrix_1
+        cc = build_cubical_complex(x, 2)
+        hd = cc.complex.homology(1)
+        chains = [cc.coords_to_chain(1, hd.representative(j)) for j in range(hd.n_generators)]
+        assert [{c.values: k for c, k in ch.terms.items()} for ch in chains] == representatives
 
 
 def test_degenerate_cubes_form_a_subcomplex():
@@ -388,8 +478,8 @@ def test_cubical_pair_sub_is_the_complex_of_the_subdigraph():
     pair = build_cubical_pair(cone(c4, "+a"), c4, 2)
     assert pair.sub is build_cubical_complex(c4, 2)
     for n in range(3):
-        for j, cube in enumerate(pair.sub.basis[n]):
-            assert pair.pair.sub_chain_to_ambient(n, {j: 1}) == {pair.ambient.index[n][cube.values]: 1}
+        for j, values in enumerate(pair.sub.basis[n]):
+            assert pair.pair.sub_chain_to_ambient(n, {j: 1}) == {pair.ambient.index[n][values]: 1}
 
 
 def test_cubical_les_exactness():

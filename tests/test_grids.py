@@ -630,6 +630,21 @@ def test_grid_map_violation_matches_reference_on_every_single_change():
                 assert grid_map_violation(g) == reference_violation(g)
 
 
+def test_grid_map_violation_names_the_axis_before_an_empty_one():
+    # an axis of length 0 repeats the row-major stride of the axis before it
+    violations = set()
+    for lengths in ((2, 0), (2, 0, 0), (0, 2), (1, 0, 2)):
+        f = constant_grid_map(C4, 0, lengths, mode="absolute")
+        for p in range(f.size):
+            for v in C4.vertices:
+                values = list(f.values)
+                values[p] = v
+                g = f.with_values(values)
+                violations.add(grid_map_violation(g))
+                assert grid_map_violation(g) == reference_violation(g)
+    assert "axis 1 arrow at (0, 0) maps to 0 -> 2, which is not an arrow" in violations
+
+
 def random_shrink_onto(draw_bits, axes) -> ShrinkingMap:
     """A shrinking map onto the given lines: a walk that stays (with an
     arrow of either direction) or advances along the target's arrow, at
