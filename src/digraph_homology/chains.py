@@ -1,6 +1,8 @@
 """Chain complexes over Z, homology with generators, maps of homology
-groups, complex pairs, and long-exact-sequence machinery, including the
-suspension homomorphism that path and cubical homology share.
+groups, complex pairs, and long-exact-sequence machinery, with everything
+that path and cubical homology share: formal-sum chains, the complex of a
+digraph with its homology and classes, the pair of a digraph and a
+subdigraph, and the suspension homomorphism.
 
 A chain complex stores, per degree, an ordered generator basis and the
 boundary as sparse columns into the previous degree.  Homology groups are
@@ -13,9 +15,10 @@ from __future__ import annotations
 
 from collections import ChainMap
 from copy import copy
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
+from .digraphs import require_subdigraph
 from .intlinalg import (
     AbelianGroup,
     Cokernel,
@@ -43,6 +46,55 @@ class LiftFailureError(RuntimeError):
 
 class NotACycleError(ValueError):
     pass
+
+
+class Chain:
+    """Integer formal sum of terms of one degree: `terms` maps each term to
+    a nonzero coefficient.  A theory names its terms by `_term`, which
+    normalises one term and checks it against the degree."""
+
+    __slots__ = ("degree", "terms")
+
+    def __init__(self, degree: int, terms: Optional[dict] = None):
+        self.degree = degree
+        self.terms: dict = {}
+        if terms:
+            for term, coeff in terms.items():
+                if coeff:
+                    term = self._term(term)
+                    self.terms[term] = self.terms.get(term, 0) + coeff
+            self.terms = {t: c for t, c in self.terms.items() if c}
+
+    def _term(self, term):
+        return term
+
+    def __add__(self, other: "Chain") -> "Chain":
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch")
+        merged = dict(self.terms)
+        for t, c in other.terms.items():
+            merged[t] = merged.get(t, 0) + c
+        return type(self)(self.degree, merged)
+
+    def __sub__(self, other: "Chain") -> "Chain":
+        return self + other.scale(-1)
+
+    def __neg__(self) -> "Chain":
+        return self.scale(-1)
+
+    def scale(self, k: int) -> "Chain":
+        return type(self)(self.degree, {t: k * c for t, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.degree == other.degree and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.degree, frozenset(self.terms.items())))
 
 
 class Reducible:
@@ -526,46 +578,68 @@ class ChainComplexPair(Reducible):
         return maps
 
 
-def pair_map(
-    pair1: ChainComplexPair,
-    pair2: ChainComplexPair,
-    n: int,
-    ambient_map: Callable[[int, dict], dict],
-) -> GroupMap:
-    """H_n(pair1 quotient) -> H_n(pair2 quotient) induced by a chain map of
-    the ambients that carries the first subcomplex into the second.
-    `ambient_map(n, vec)` sends a degree-n chain of pair1's ambient to
-    pair2's ambient coordinates."""
-    hd1 = pair1.quotient.homology(n)
-    hd2 = pair2.quotient.homology(n)
-    images = [
-        pair2.ambient_chain_to_quotient(
-            n, ambient_map(n, pair1.quotient_section(n, hd1.representative(j)))
+class DigraphComplex(Reducible):
+    """The chain complex of a digraph in one homology theory, grown on
+    demand.  A theory gives `digraph`, `complex` (the ChainComplex in its
+    basis coordinates), `chain_vector(chain)` -> (degree, coordinates),
+    its inverse `coords_to_chain(n, vec)`, and `inclusion_cols(sub, n)`:
+    the degree-n basis of `sub`, the complex of a subdigraph, in these
+    coordinates.  `reduced` is the same complex augmented in degree -1."""
+
+    def homology(self, n: int) -> AbelianGroup:
+        return self.complex.homology(n).group
+
+    def class_of(self, chain: Chain) -> HomologyClass:
+        """Class of a cycle given as a chain of the theory."""
+        return self.complex.class_of(*self.chain_vector(chain))
+
+
+class DigraphPair(Reducible):
+    """The complexes of a digraph and of a subdigraph in one theory, with
+    the subdigraph's complex as a subcomplex (`pair`); it grows with the
+    two complexes.  `reduced` pairs the reduced complexes and shares the
+    quotient."""
+
+    _complexes = ("ambient", "sub", "pair")
+
+    def __init__(self, ambient: DigraphComplex, sub: DigraphComplex):
+        require_subdigraph(sub.digraph, ambient.digraph)
+        self.ambient = ambient
+        self.sub = sub
+        self.pair = ChainComplexPair(
+            ambient.complex, sub.complex, partial(ambient.inclusion_cols, sub)
         )
-        for j in range(hd1.n_generators)
-    ]
-    return hom_map(hd1, hd2, images)
+
+    def homology(self, n: int) -> AbelianGroup:
+        """The relative group H_n(ambient, sub)."""
+        return self.pair.quotient.homology(n).group
+
+    def quotient_class(self, chain: Chain) -> HomologyClass:
+        """Relative class of an ambient chain that is a relative cycle."""
+        return self.pair.quotient_class(*self.ambient.chain_vector(chain))
 
 
-def suspension_composite(
-    cone_pair: ChainComplexPair,
-    susp_pair: ChainComplexPair,
-    n: int,
-    ambient_map: Callable[[int, dict], dict],
-) -> GroupMap:
+def suspension_composite(cone_pair: DigraphPair, susp_pair: DigraphPair, n: int) -> GroupMap:
     """The suspension homomorphism H_n(x) -> H_{n+1}(Sx) as
     (quotient map)^-1 after (pair map) after (connecting map)^-1, through
-    the cone pair (C^+x, x) and the suspension pair (Sx, C^-x).
-    `ambient_map` includes the chains of C^+x into those of Sx.
+    the cone pair (C^+x, x) and the suspension pair (Sx, C^-x).  The pair
+    map is induced by the inclusion of C^+x into Sx, read through chains.
 
     At n = 0 the connecting map is only invertible against the augmented
     degree-0 group, so the composite runs through the reduced pairs and
     its source is the reduced group there."""
     if n == 0:
         cone_pair, susp_pair = cone_pair.reduced, susp_pair.reduced
-    xi = cone_pair.connecting_map(n + 1)
-    incl = pair_map(cone_pair, susp_pair, n + 1, ambient_map)
-    q = susp_pair.quotient_map(n + 1)
+    cone, susp, k = cone_pair.pair, susp_pair.pair, n + 1
+    xi = cone.connecting_map(k)
+    hd_cone, hd_susp = cone.quotient.homology(k), susp.quotient.homology(k)
+    images = []
+    for j in range(hd_cone.n_generators):
+        lift = cone.quotient_section(k, hd_cone.representative(j))
+        _, vec = susp_pair.ambient.chain_vector(cone_pair.ambient.coords_to_chain(k, lift))
+        images.append(susp.ambient_chain_to_quotient(k, vec))
+    incl = hom_map(hd_cone, hd_susp, images)
+    q = susp.quotient_map(k)
     return q.inverse().compose(incl).compose(xi.inverse())
 
 
@@ -584,14 +658,15 @@ class _DegreeAdapter:
     """Coordinate bridge for one degree of a complex pair.
 
     Splits Z^ambient into sub coordinates and quotient coordinates via a
-    unimodular change of basis adapted to the (saturated) inclusion.
+    unimodular change of basis adapted to the (saturated) inclusion.  The
+    inclusion columns are kept as given, not copied.
     """
 
     def __init__(self, ambient_dim: int, inclusion_cols: list):
         self.ambient_dim = ambient_dim
         self.sub_dim = len(inclusion_cols)
         self.quot_dim = ambient_dim - self.sub_dim
-        self._cols = [dict(c) for c in inclusion_cols]
+        self._cols = inclusion_cols
         coord = self._coordinate_rows()
         if coord is not None:
             self._mode = "coordinate"

@@ -34,6 +34,8 @@ from .digraphs import (
     cone,
     digraph_from_json,
     digraph_to_json,
+    is_subdigraph,
+    relabel_to_strings,
     suspension,
 )
 from .grids import (
@@ -78,18 +80,14 @@ def _load_digraph(path: str) -> Digraph:
         raise CliError(f"bad digraph in {path}: {exc}", EXIT_PARSE)
 
 
-def _load_subdigraph(data: dict, base_dir: Path) -> Digraph:
-    from .digraphs import build_digraph
-
+def _load_entry(data, base_dir: Path, what: str) -> Digraph:
+    """A digraph given inline, or as a file name relative to base_dir."""
+    if isinstance(data, str):
+        return _load_digraph(str(base_dir / data))
     try:
-        if isinstance(data, str):
-            return _load_digraph(str(base_dir / data))
-        return build_digraph(
-            [str(v) for v in data["vertices"]],
-            [(str(a), str(b)) for a, b in data["arrows"]],
-        )
-    except (KeyError, TypeError, DigraphError) as exc:
-        raise CliError(f"bad subdigraph: {exc}", EXIT_PARSE)
+        return digraph_from_json(data)
+    except DigraphError as exc:
+        raise CliError(f"bad {what}: {exc}", EXIT_PARSE)
 
 
 def _group_report(name: str, group: AbelianGroup, json_output: bool) -> str:
@@ -108,9 +106,7 @@ def cmd_homology(args) -> int:
     g = _load_digraph(args.input)
     rel: Optional[Digraph] = None
     if args.relative:
-        rel = _load_subdigraph(_load_json(args.relative), Path(args.relative).parent)
-        from .digraphs import is_subdigraph
-
+        rel = _load_entry(_load_json(args.relative), Path(args.relative).parent, "subdigraph")
         if not is_subdigraph(rel, g):
             raise CliError("the relative file is not a subdigraph of the input", EXIT_SUBDIGRAPH)
     if args.dim + 1 > args.maxdim:
@@ -150,8 +146,6 @@ def cmd_build(args) -> int:
         elif args.op == "boxprod":
             if len(args.inputs) < 2:
                 raise CliError("boxprod needs two inputs", EXIT_PARSE)
-            from .digraphs import relabel_to_strings
-
             out = _load_digraph(args.inputs[0])
             for path in args.inputs[1:]:
                 out = relabel_to_strings(box_product(out, _load_digraph(path)))
@@ -159,18 +153,12 @@ def cmd_build(args) -> int:
             raise CliError(f"unknown build op {args.op}", EXIT_PARSE)
     except DigraphError as exc:
         raise CliError(str(exc), EXIT_PARSE)
-    payload = json.dumps(digraph_to_json(_stringly(out)), indent=2)
+    payload = json.dumps(digraph_to_json(relabel_to_strings(out)), indent=2)
     if args.output:
         Path(args.output).write_text(payload + "\n")
     else:
         print(payload)
     return 0
-
-
-def _stringly(g: Digraph) -> Digraph:
-    from .digraphs import relabel_to_strings
-
-    return relabel_to_strings(g)
 
 
 def _fresh_label(g: Digraph, stem: str) -> str:
@@ -272,27 +260,19 @@ def cmd_verify(args) -> int:
             raise CliError("verify exactness needs one PAIR.json input", EXIT_PARSE)
         _require_degree(args.maxdim, "--maxdim")
         data = _load_json(args.inputs[0])
+        if not isinstance(data, dict) or "ambient" not in data or "sub" not in data:
+            raise CliError("bad pair file: it needs 'ambient' and 'sub'", EXIT_PARSE)
         base_dir = Path(args.inputs[0]).parent
-        try:
-            ambient = (
-                _load_digraph(str(base_dir / data["ambient"]))
-                if isinstance(data["ambient"], str)
-                else digraph_from_json(data["ambient"])
-            )
-            sub = _load_subdigraph(data["sub"], base_dir)
-        except (KeyError, DigraphError) as exc:
-            raise CliError(f"bad pair file: {exc}", EXIT_PARSE)
-        from .digraphs import is_subdigraph
-
+        ambient = _load_entry(data["ambient"], base_dir, "ambient")
+        sub = _load_entry(data["sub"], base_dir, "subdigraph")
         if not is_subdigraph(sub, ambient):
             raise CliError("'sub' is not a subdigraph of 'ambient'", EXIT_SUBDIGRAPH)
+        top = args.maxdim + 1
         try:
             if args.theory == "path":
-                pair = build_omega_pair(ambient, sub, args.maxdim + 1)
+                pair = build_omega_pair(ambient, sub, top)
             else:
-                pair = build_cubical_pair(
-                    ambient, sub, args.maxdim + 1, dim_bound=args.maxdim + 1
-                )
+                pair = build_cubical_pair(ambient, sub, top, dim_bound=top)
         except BoundExceededError as exc:
             raise CliError(str(exc), EXIT_BOUND)
         ok = verify_exactness(pair.pair.les_maps(args.maxdim))

@@ -28,15 +28,15 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .chains import (
+    Chain,
     ChainComplex,
-    ChainComplexPair,
+    DigraphComplex,
+    DigraphPair,
     GroupMap,
-    HomologyClass,
-    Reducible,
     hom_map,
     suspension_composite,
 )
-from .digraphs import Digraph, require_subdigraph, cone, suspension
+from .digraphs import Digraph, cone, suspension
 from .intlinalg import AbelianGroup
 from .paths import PathChain, build_omega_complex, is_regular
 
@@ -171,44 +171,15 @@ def is_degenerate(c: SingularCube) -> bool:
     return _degenerate(c.values, _tables(c.dim).axes)
 
 
-class CubicalChain:
+class CubicalChain(Chain):
     """Integer formal sum of same-dimension singular cubes."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
 
-    def __init__(self, dim: int, terms: Optional[dict] = None):
-        self.dim = dim
-        self.terms: dict[SingularCube, int] = {}
-        if terms:
-            for cube, coeff in terms.items():
-                if not coeff:
-                    continue
-                if cube.dim != dim:
-                    raise ValueError("cube dimension mismatch")
-                self.terms[cube] = self.terms.get(cube, 0) + coeff
-            self.terms = {c: v for c, v in self.terms.items() if v}
-
-    def __add__(self, other: "CubicalChain") -> "CubicalChain":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        merged = dict(self.terms)
-        for c, v in other.terms.items():
-            merged[c] = merged.get(c, 0) + v
-        return CubicalChain(self.dim, merged)
-
-    def __sub__(self, other: "CubicalChain") -> "CubicalChain":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "CubicalChain":
-        return CubicalChain(self.dim, {c: k * v for c, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, CubicalChain):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+    def _term(self, cube: SingularCube) -> SingularCube:
+        if cube.dim != self.degree:
+            raise ValueError("cube dimension mismatch")
+        return cube
 
     def to_json(self) -> list:
         from .digraphs import label_str
@@ -225,9 +196,9 @@ class CubicalChain:
 def cubical_boundary(ch: CubicalChain) -> CubicalChain:
     """Chain-level boundary: sum over i of (-1)^i (front face - back face).
     Degenerate faces are retained; they die only in the quotient complex."""
-    if ch.dim == 0:
+    if ch.degree == 0:
         return CubicalChain(-1)
-    n = ch.dim
+    n = ch.degree
     boundary = _tables(n).boundary
     terms: dict[SingularCube, int] = {}
     for cube, coeff in ch.terms.items():
@@ -308,10 +279,12 @@ def enumerate_cubes(
     return [SingularCube(n, v, g) for v in level.values]
 
 
-class CubicalComplex(Reducible):
+class CubicalComplex(DigraphComplex):
     """Quotient cubical chain complex with basis the nondegenerate cubes,
     built degree by degree as it is read (`grow`).  `basis[n]` holds their
-    values tuples.  `reduced` is the same complex augmented to Z in degree -1.
+    values tuples, and `index[n]` their positions, the coordinates
+    `chain_vector` reads a chain in.  `reduced` is the same complex
+    augmented to Z in degree -1.
 
     Degree n is built from the id tables (`_Level`) of degree n - 1.  Every
     degree below the top degree of a `grow` keeps its tables; the top degree
@@ -381,19 +354,18 @@ class CubicalComplex(Reducible):
             vec[row] = vec.get(row, 0) + coeff
         return {r: v for r, v in vec.items() if v}
 
-    def chain_coords(self, ch: CubicalChain) -> dict:
-        """Quotient coordinates of a chain: degenerate cubes are dropped."""
-        return self.values_coords(ch.dim, {c.values: k for c, k in ch.terms.items()})
+    def chain_vector(self, ch: CubicalChain) -> tuple[int, dict]:
+        """Degree and quotient coordinates of a chain: degenerate cubes are dropped."""
+        n = ch.degree
+        return n, self.values_coords(n, {c.values: k for c, k in ch.terms.items()})
 
     def coords_to_chain(self, n: int, vec: dict) -> CubicalChain:
         basis, g = self.basis[n], self.digraph
         return CubicalChain(n, {SingularCube(n, basis[j], g): coeff for j, coeff in vec.items()})
 
-    def homology(self, n: int) -> AbelianGroup:
-        return self.complex.homology(n).group
-
-    def class_of(self, ch: CubicalChain) -> HomologyClass:
-        return self.complex.class_of(ch.dim, self.chain_coords(ch))
+    def inclusion_cols(self, sub: "CubicalComplex", n: int) -> list:
+        index = self.index[n]
+        return [{index[v]: 1} for v in sub.basis[n]]
 
 
 _cubical_complex = lru_cache(maxsize=64)(CubicalComplex)
@@ -427,31 +399,14 @@ def cubical_homology(
     requires n + 1 <= dim_bound so the image boundary is available."""
     if n + 1 > dim_bound:
         raise BoundExceededError(f"degree {n} needs dimension {n + 1} > bound {dim_bound}")
-    if relative_to is not None:
-        pair = build_cubical_pair(g, relative_to, n + 1, dim_bound, vertex_bound, reduced)
-        return pair.pair.quotient.homology(n).group
-    return build_cubical_complex(g, n + 1, dim_bound, vertex_bound, reduced).homology(n)
+    if relative_to is None:
+        return build_cubical_complex(g, n + 1, dim_bound, vertex_bound, reduced).homology(n)
+    return build_cubical_pair(g, relative_to, n + 1, dim_bound, vertex_bound, reduced).homology(n)
 
 
-class CubicalPair(Reducible):
-    """The complexes of a digraph and of a subdigraph, with the
-    subdigraph's nondegenerate cubes as a coordinate subcomplex; it grows
-    with the two complexes."""
-
-    _complexes = ("ambient", "sub", "pair")
-
-    def __init__(self, g: Digraph, a: Digraph):
-        require_subdigraph(a, g)
-        self.ambient = _cubical_complex(g)
-        self.sub = _cubical_complex(a)
-        self.pair = ChainComplexPair(self.ambient.complex, self.sub.complex, self._inclusion_cols)
-
-    def _inclusion_cols(self, n: int) -> list:
-        index = self.ambient.index[n]
-        return [{index[v]: 1} for v in self.sub.basis[n]]
-
-
-_cubical_pair = lru_cache(maxsize=64)(CubicalPair)
+@lru_cache(maxsize=64)
+def _cubical_pair(g: Digraph, a: Digraph) -> DigraphPair:
+    return DigraphPair(_cubical_complex(g), _cubical_complex(a))
 
 
 def build_cubical_pair(
@@ -461,7 +416,7 @@ def build_cubical_pair(
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
     reduced: bool = False,
-) -> CubicalPair:
+) -> DigraphPair:
     """The pair (g, a) (one per pair, cached) grown to maxdim, or its reduced view."""
     pair = _cubical_pair(g, a)
     pair.ambient.grow(maxdim, dim_bound, vertex_bound)
@@ -474,7 +429,7 @@ build_cubical_pair.cache_info = _cubical_pair.cache_info
 build_cubical_pair.cache_clear = _cubical_pair.cache_clear
 
 
-def connecting_face_formula(pair: CubicalPair, n: int) -> GroupMap:
+def connecting_face_formula(pair: DigraphPair, n: int) -> GroupMap:
     """The connecting map H^c_{n+1}(G, A) -> H^c_n(A) computed directly
     from the face maps: lift a relative cycle to its cube chain, apply the
     full alternating face sum, drop degenerate faces, and read the result
@@ -487,7 +442,7 @@ def connecting_face_formula(pair: CubicalPair, n: int) -> GroupMap:
     for j in range(hd_quot.n_generators):
         amb_vec = pair.pair.quotient_section(n + 1, hd_quot.representative(j))
         chain = pair.ambient.coords_to_chain(n + 1, amb_vec)
-        images.append(pair.sub.chain_coords(cubical_boundary(chain)))
+        images.append(pair.sub.chain_vector(cubical_boundary(chain))[1])
     return hom_map(hd_quot, hd_sub, images)
 
 
@@ -526,7 +481,7 @@ def iota(arg) -> PathChain:
     if isinstance(arg, SingularCube):
         return iota_values(arg.dim, {arg.values: 1})
     if isinstance(arg, CubicalChain):
-        return iota_values(arg.dim, {c.values: k for c, k in arg.terms.items()})
+        return iota_values(arg.degree, {c.values: k for c, k in arg.terms.items()})
     raise TypeError("iota expects a cube or a cubical chain")
 
 
@@ -582,9 +537,4 @@ def cubical_suspension_map(
     pair_susp = build_cubical_pair(
         suspension(x, apex_a, apex_b), cone(x, apex_b), n + 2, dim_bound, vertex_bound
     )
-
-    def include(k: int, vec: dict) -> dict:
-        basis, index = pair_cone.ambient.basis[k], pair_susp.ambient.index[k]
-        return {index[basis[j]]: coeff for j, coeff in vec.items()}
-
-    return suspension_composite(pair_cone.pair, pair_susp.pair, n, include)
+    return suspension_composite(pair_cone, pair_susp, n)

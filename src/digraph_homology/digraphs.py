@@ -369,13 +369,21 @@ def digraph_to_json(g: Digraph) -> dict:
     return out
 
 
-def digraph_from_json(data: dict) -> Digraph:
+def digraph_from_json(data) -> Digraph:
+    """The digraph of {"vertices": [...], "arrows": [[a, b], ...]} with an
+    optional "base", labels read as strings; DigraphError on any other shape."""
     if not isinstance(data, dict) or "vertices" not in data or "arrows" not in data:
         raise DigraphError("digraph JSON needs 'vertices' and 'arrows'")
-    vertices = [str(v) for v in data["vertices"]]
-    arrows = [(str(a[0]), str(a[1])) for a in data["arrows"]]
-    base = data.get("base")
-    return build_digraph(vertices, arrows, None if base is None else str(base))
+    vertices, arrows, base = data["vertices"], data["arrows"], data.get("base")
+    if not isinstance(vertices, list):
+        raise DigraphError("'vertices' must be a list")
+    if not isinstance(arrows, list) or not all(isinstance(a, list) and len(a) == 2 for a in arrows):
+        raise DigraphError("'arrows' must be a list of [source, target] pairs")
+    return build_digraph(
+        [str(v) for v in vertices],
+        [(str(a), str(b)) for a, b in arrows],
+        None if base is None else str(base),
+    )
 
 
 def relabel_to_strings(g: Digraph) -> Digraph:

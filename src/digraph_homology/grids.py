@@ -46,7 +46,15 @@ from .cubes import (
     build_cubical_pair,
     iota_values,
 )
-from .digraphs import Digraph, LineSpec, require_subdigraph, standard_line
+from .digraphs import (
+    Digraph,
+    LineSpec,
+    digraph_from_json,
+    digraph_to_json,
+    label_str,
+    require_subdigraph,
+    standard_line,
+)
 from .paths import PathChain, build_omega_complex, build_omega_pair, is_regular
 
 
@@ -796,10 +804,8 @@ def glmy_hurewicz(f: GridMap) -> HomologyClass:
     n = f.dims
     pc = iota_values(n, _cells(f))
     if f.mode == "triple":
-        pair = build_omega_pair(f.target, f.sub, n + 1)
-        return pair.quotient_class(pc)
-    oc = build_omega_complex(f.target, n + 1)
-    return oc.class_of(pc)
+        return build_omega_pair(f.target, f.sub, n + 1).quotient_class(pc)
+    return build_omega_complex(f.target, n + 1).class_of(pc)
 
 
 def loop_h_prime(f: GridMap) -> PathChain:
@@ -838,8 +844,6 @@ def minimal_path(f: GridMap) -> tuple:
 
 
 def grid_map_to_json(f: GridMap) -> dict:
-    from .digraphs import digraph_to_json, label_str
-
     axes = []
     for ax in f.axes:
         axes.append({"len": ax.length, "pattern": "standard" if ax.is_standard else ax.pattern})
@@ -852,16 +856,11 @@ def grid_map_to_json(f: GridMap) -> dict:
     if f.base is not None:
         out["base"] = label_str(f.base)
     if f.sub is not None:
-        out["A"] = {
-            "vertices": [label_str(v) for v in f.sub.vertices],
-            "arrows": [[label_str(a), label_str(b)] for a, b in f.sub.arrows],
-        }
+        out["A"] = digraph_to_json(f.sub)
     return out
 
 
 def grid_map_from_json(data: dict, target: Optional[Digraph] = None) -> GridMap:
-    from .digraphs import build_digraph, digraph_from_json
-
     if not isinstance(data, dict):
         raise GridError(f"a grid map must be a JSON object, got {type(data).__name__}")
     axes = []
@@ -876,12 +875,7 @@ def grid_map_from_json(data: dict, target: Optional[Digraph] = None) -> GridMap:
         if not isinstance(raw, dict):
             raise GridError("grid-map JSON needs an inline target (or pass one explicitly)")
         target = digraph_from_json(raw)
-    sub = None
-    if data.get("A") is not None:
-        sub = build_digraph(
-            [str(v) for v in data["A"]["vertices"]],
-            [(str(a), str(b)) for a, b in data["A"]["arrows"]],
-        )
+    sub = None if data.get("A") is None else digraph_from_json(data["A"])
     base = data.get("base")
     return GridMap(
         tuple(axes),

@@ -165,7 +165,6 @@ class SmithDecomposition:
     Uinv: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    Vinv: IntMatrix
     divisors: tuple[int, ...]
 
     @property
@@ -179,7 +178,6 @@ def _snf_full(mat: IntMatrix) -> SmithDecomposition:
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     uinv = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    vinv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -192,7 +190,6 @@ def _snf_full(mat: IntMatrix) -> SmithDecomposition:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
@@ -217,9 +214,6 @@ def _snf_full(mat: IntMatrix) -> SmithDecomposition:
             row[i] += q * row[j]
         for row in v:
             row[i] += q * row[j]
-        vi, vj = vinv[i], vinv[j]
-        for k in range(c):
-            vj[k] -= q * vi[k]
 
     def row_combine(t, i):
         # rows (t, i) <- (x*rt + y*ri, -(b//g)*rt + (a//g)*ri) with a = A[t][pivot], b = A[i][pivot]
@@ -250,9 +244,6 @@ def _snf_full(mat: IntMatrix) -> SmithDecomposition:
             ct, cj = row[t], row[j]
             row[t] = x * ct + y * cj
             row[j] = -q * ct + p * cj
-        rt, rj = vinv[t], vinv[j]
-        vinv[t] = [p * s + q * w for s, w in zip(rt, rj)]
-        vinv[j] = [-y * s + x * w for s, w in zip(rt, rj)]
 
     t = 0
     limit = min(r, c)
@@ -324,7 +315,6 @@ def _snf_full(mat: IntMatrix) -> SmithDecomposition:
         Uinv=IntMatrix(uinv, cols=r),
         D=IntMatrix(a, cols=c),
         V=IntMatrix(v, cols=c),
-        Vinv=IntMatrix(vinv, cols=c),
         divisors=divisors,
     )
 
@@ -528,6 +518,24 @@ def vec_addmul(target: dict, source: dict, q: int) -> None:
             target.pop(i, None)
 
 
+def _gcd_combine(u: dict, v: dict, a: int, b: int) -> tuple[dict, dict]:
+    """(x*u + y*v, (a/g)*v - (b/g)*u) for g = xgcd(a, b) = x*a + y*b, where a
+    and b are the entries of u and v at a shared pivot row: the first has g
+    there, the second 0, and together they span the lattice of u and v."""
+    g, x, y = xgcd(a, b)
+    new_u = {}
+    for i in set(u) | set(v):
+        s = x * u.get(i, 0) + y * v.get(i, 0)
+        if s:
+            new_u[i] = s
+    new_v = {}
+    for i in set(u) | set(v):
+        s = (a // g) * v.get(i, 0) - (b // g) * u.get(i, 0)
+        if s:
+            new_v[i] = s
+    return new_u, new_v
+
+
 class Echelon:
     """Mutable column-echelon basis of an integer lattice.
 
@@ -563,19 +571,7 @@ class Echelon:
             if b % a == 0:
                 vec_addmul(v, cur, -(b // a))
             else:
-                g, x, y = xgcd(a, b)
-                new = {}
-                for i in set(cur) | set(v):
-                    s = x * cur.get(i, 0) + y * v.get(i, 0)
-                    if s:
-                        new[i] = s
-                w = {}
-                for i in set(cur) | set(v):
-                    s = (a // g) * v.get(i, 0) - (b // g) * cur.get(i, 0)
-                    if s:
-                        w[i] = s
-                self.pivots[p] = new
-                v = w
+                self.pivots[p], v = _gcd_combine(cur, v, a, b)
 
     def basis_vectors(self) -> list[dict]:
         """The basis in position order (a cached list: do not modify it)."""
@@ -659,19 +655,8 @@ def sparse_kernel_basis(cols: list[dict], nrows: int) -> list[dict]:
             if b % a == 0:
                 vec_addmul(w, pv, -(b // a))
             else:
-                g, x, y = xgcd(a, b)
-                new_p = {}
-                for i in set(pv) | set(w):
-                    s = x * pv.get(i, 0) + y * w.get(i, 0)
-                    if s:
-                        new_p[i] = s
-                new_w = {}
-                for i in set(pv) | set(w):
-                    s = (a // g) * w.get(i, 0) - (b // g) * pv.get(i, 0)
-                    if s:
-                        new_w[i] = s
-                work[pivot_j] = pv = new_p
-                work[j] = w = new_w
+                pv, w = _gcd_combine(pv, w, a, b)
+                work[pivot_j], work[j] = pv, w
                 touch(pivot_j, pv, r)
             touch(j, w, r)
         retired[pivot_j] = True

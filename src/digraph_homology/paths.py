@@ -13,22 +13,15 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .chains import (
+    Chain,
     ChainComplex,
-    ChainComplexPair,
+    DigraphComplex,
+    DigraphPair,
     GroupMap,
-    HomologyClass,
     NotACycleError,
-    Reducible,
     suspension_composite,
 )
-from .digraphs import (
-    Digraph,
-    DigraphMap,
-    check_digraph_map,
-    cone,
-    require_subdigraph,
-    suspension,
-)
+from .digraphs import Digraph, DigraphMap, check_digraph_map, cone, suspension
 from .intlinalg import AbelianGroup, Echelon, sparse_kernel_basis
 
 
@@ -36,55 +29,21 @@ class InvalidMappingError(ValueError):
     pass
 
 
-class PathChain:
+class PathChain(Chain):
     """Integer formal sum of same-length vertex sequences."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ()
 
-    def __init__(self, degree: int, terms: Optional[dict] = None):
-        self.degree = degree
-        self.terms: dict[tuple, int] = {}
-        if terms:
-            for path, coeff in terms.items():
-                if coeff:
-                    path = tuple(path)
-                    if len(path) != degree + 1:
-                        raise ValueError("path length does not match chain degree")
-                    self.terms[path] = self.terms.get(path, 0) + coeff
-            self.terms = {p: c for p, c in self.terms.items() if c}
+    def _term(self, path) -> tuple:
+        path = tuple(path)
+        if len(path) != self.degree + 1:
+            raise ValueError("path length does not match chain degree")
+        return path
 
     @staticmethod
     def single(path: Sequence, coeff: int = 1) -> "PathChain":
         path = tuple(path)
         return PathChain(len(path) - 1, {path: coeff})
-
-    def __add__(self, other: "PathChain") -> "PathChain":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        merged = dict(self.terms)
-        for p, c in other.terms.items():
-            merged[p] = merged.get(p, 0) + c
-        return PathChain(self.degree, merged)
-
-    def __sub__(self, other: "PathChain") -> "PathChain":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "PathChain":
-        return self.scale(-1)
-
-    def scale(self, k: int) -> "PathChain":
-        return PathChain(self.degree, {p: k * c for p, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PathChain):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -163,14 +122,15 @@ def regular_boundary(chain: PathChain) -> PathChain:
     return PathChain(chain.degree - 1, terms)
 
 
-class OmegaComplex(Reducible):
+class OmegaComplex(DigraphComplex):
     """The complex of allowed chains whose regular boundary stays allowed,
     built degree by degree as it is read (`grow`).
 
     Per built degree n: the ordered allowed-path basis, a saturated
     lattice basis for the degree-n chain group inside it, and the boundary
-    matrix in those lattice coordinates.  `reduced` is the same complex
-    augmented to Z in degree -1.
+    matrix in those lattice coordinates, the coordinates `chain_vector`
+    reads a chain in.  `reduced` is the same complex augmented to Z in
+    degree -1.
     """
 
     def __init__(self, g: Digraph):
@@ -249,20 +209,24 @@ class OmegaComplex(Reducible):
             vec[index[path]] = coeff
         return self._echelons[n].solve(vec)
 
-    def to_path_chain(self, n: int, vec: dict) -> PathChain:
+    def chain_vector(self, chain: PathChain) -> tuple[int, dict]:
+        vec = self.lattice_coords(chain)
+        if vec is None:
+            raise NotACycleError("chain is not in the allowed-boundary lattice")
+        return chain.degree, vec
+
+    def coords_to_chain(self, n: int, vec: dict) -> PathChain:
         out = PathChain(n)
         for j, coeff in vec.items():
             out = out + self.basis_chain(n, j).scale(coeff)
         return out
 
-    def homology(self, n: int) -> AbelianGroup:
-        return self.complex.homology(n).group
-
-    def class_of(self, chain: PathChain) -> HomologyClass:
-        vec = self.lattice_coords(chain)
-        if vec is None:
-            raise NotACycleError("chain is not in the allowed-boundary lattice")
-        return self.complex.class_of(chain.degree, vec)
+    def inclusion_cols(self, sub: "OmegaComplex", n: int) -> list:
+        chains = (sub.basis_chain(n, j) for j in range(sub.rank(n)))
+        cols = [self.lattice_coords(chain) for chain in chains]
+        if None in cols:
+            raise AssertionError("sub lattice does not embed; invariant broken")
+        return cols
 
 
 _omega_complex = lru_cache(maxsize=128)(OmegaComplex)
@@ -278,37 +242,12 @@ build_omega_complex.cache_info = _omega_complex.cache_info
 build_omega_complex.cache_clear = _omega_complex.cache_clear
 
 
-class OmegaPair(Reducible):
-    """Relative allowed-chain machinery for a subdigraph inclusion; it
-    grows with the complexes of the two digraphs."""
-
-    _complexes = ("ambient", "sub", "pair")
-
-    def __init__(self, g: Digraph, a: Digraph):
-        require_subdigraph(a, g)
-        self.ambient = _omega_complex(g)
-        self.sub = _omega_complex(a)
-        self.pair = ChainComplexPair(self.ambient.complex, self.sub.complex, self._inclusion_cols)
-
-    def _inclusion_cols(self, n: int) -> list:
-        chains = (self.sub.basis_chain(n, j) for j in range(self.sub.rank(n)))
-        cols = [self.ambient.lattice_coords(chain) for chain in chains]
-        if None in cols:
-            raise AssertionError("sub lattice does not embed; invariant broken")
-        return cols
-
-    def quotient_class(self, chain: PathChain) -> HomologyClass:
-        """Class of an ambient allowed chain in the relative homology."""
-        vec = self.ambient.lattice_coords(chain)
-        if vec is None:
-            raise NotACycleError("chain is not in the ambient lattice")
-        return self.pair.quotient_class(chain.degree, vec)
+@lru_cache(maxsize=64)
+def _omega_pair(g: Digraph, a: Digraph) -> DigraphPair:
+    return DigraphPair(_omega_complex(g), _omega_complex(a))
 
 
-_omega_pair = lru_cache(maxsize=64)(OmegaPair)
-
-
-def build_omega_pair(g: Digraph, a: Digraph, maxdeg: int, reduced: bool = False) -> OmegaPair:
+def build_omega_pair(g: Digraph, a: Digraph, maxdeg: int, reduced: bool = False) -> DigraphPair:
     """The pair (g, a) (one per pair, cached) grown to maxdeg, or its reduced view."""
     pair = _omega_pair(g, a)
     pair.pair.grow(maxdeg)
@@ -325,10 +264,9 @@ def path_homology(
     """Path homology H_n(g) or H_n(g, relative_to) over the integers."""
     if n < 0:
         raise ValueError("negative degree")
-    if relative_to is not None:
-        pair = build_omega_pair(g, relative_to, n + 1, reduced)
-        return pair.pair.quotient.homology(n).group
-    return build_omega_complex(g, n + 1, reduced).homology(n)
+    if relative_to is None:
+        return build_omega_complex(g, n + 1, reduced).homology(n)
+    return build_omega_pair(g, relative_to, n + 1, reduced).homology(n)
 
 
 def pushforward(f: DigraphMap, chain: PathChain) -> PathChain:
@@ -385,12 +323,4 @@ def path_suspension_map(x: Digraph, n: int, apex_a="+a", apex_b="+b") -> GroupMa
     two cone pairs."""
     pair_cone = build_omega_pair(cone(x, apex_a), x, n + 2)
     pair_susp = build_omega_pair(suspension(x, apex_a, apex_b), cone(x, apex_b), n + 2)
-
-    def include(k: int, vec: dict) -> dict:
-        chain = pair_cone.ambient.to_path_chain(k, vec)
-        coords = pair_susp.ambient.lattice_coords(chain)
-        if coords is None:
-            raise AssertionError("chain does not include into the larger pair")
-        return coords
-
-    return suspension_composite(pair_cone.pair, pair_susp.pair, n, include)
+    return suspension_composite(pair_cone, pair_susp, n)

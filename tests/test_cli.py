@@ -391,3 +391,55 @@ def test_cli_output_deterministic(tmp_path, capsys, c4_file):
     code, out1, _ = run_cli(capsys, "build", "suspend", c4_file)
     code, out2, _ = run_cli(capsys, "build", "suspend", c4_file)
     assert out1 == out2
+
+
+BAD_ARROW = {"vertices": ["0", "1"], "arrows": [["0"]]}
+WINDING = grid_map_to_json(winding_json())
+
+
+@pytest.mark.parametrize(
+    "command, document, code",
+    [
+        ("homology", BAD_ARROW, 2),
+        ("homology", {"vertices": ["0"], "arrows": [5]}, 2),
+        ("homology", {"vertices": ["0"], "arrows": 5}, 2),
+        ("homology", {"vertices": 5, "arrows": []}, 2),
+        ("homology", {"vertices": ["0", "1"], "arrows": [["0", "1", "1"]]}, 2),
+        ("homology", [5], 2),
+        ("homology-relative", BAD_ARROW, 2),
+        ("exactness", {"ambient": LINE, "sub": BAD_ARROW}, 2),
+        ("exactness", {"ambient": BAD_ARROW, "sub": LINE}, 2),
+        ("exactness", [LINE, LINE], 2),
+        ("hurewicz", {**WINDING, "mode": "triple", "A": BAD_ARROW}, 5),
+        ("hurewicz", {**WINDING, "target": BAD_ARROW}, 5),
+    ],
+    ids=[
+        "short-arrow",
+        "scalar-arrow",
+        "scalar-arrows",
+        "scalar-vertices",
+        "long-arrow",
+        "list",
+        "relative-short-arrow",
+        "exactness-sub-short-arrow",
+        "exactness-ambient-short-arrow",
+        "exactness-list",
+        "hurewicz-sub-short-arrow",
+        "hurewicz-target-short-arrow",
+    ],
+)
+def test_malformed_digraph_json_exit_code(tmp_path, capsys, command, document, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    good = tmp_path / "line.json"
+    good.write_text(json.dumps(LINE))
+    argv = {
+        "homology": ("homology", bad, "--dim", "0"),
+        "homology-relative": ("homology", good, "--dim", "0", "--relative", bad),
+        "exactness": ("verify", "exactness", bad),
+        "hurewicz": ("hurewicz", bad),
+    }[command]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -739,7 +739,7 @@ def chain_route_classes(f: GridMap):
         cubical = build_cubical_pair(f.target, f.sub, n + 1)
         path = build_omega_pair(f.target, f.sub, n + 1)
         return (
-            cubical.pair.quotient_class(n, cubical.ambient.chain_coords(ch)),
+            cubical.quotient_class(ch),
             path.quotient_class(iota(ch)),
         )
     cubical = build_cubical_complex(f.target, n + 1)

@@ -177,7 +177,7 @@ def test_suspension_cycle_class_matches_connecting_composite():
         sx = suspension(x, "+a", "+b")
         hd_sx = build_omega_complex(sx, 3).complex.homology(2)
         for j in range(hd.n_generators):
-            z = oc.to_path_chain(1, hd.representative(j))
+            z = oc.coords_to_chain(1, hd.representative(j))
             sz = suspension_cycle(z, x)
             direct = hd_sx.class_vector(build_omega_complex(sx, 3).lattice_coords(sz))
             via = emap.matrix.apply(hd.class_vector(oc.lattice_coords(z)))
