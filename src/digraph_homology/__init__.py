@@ -59,6 +59,7 @@ from .cubes import (  # noqa: E402
     comparison_L,
     cubical_boundary,
     cubical_homology,
+    cubical_suspension_cycle,
     cubical_suspension_map,
     enumerate_cubes,
     face,

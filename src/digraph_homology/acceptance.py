@@ -11,7 +11,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .chains import ChainComplex, homology_of, verify_exactness
+from .chains import ChainComplex, homology_of, suspension_composite, verify_exactness
 from .cubes import (
     CubicalChain,
     build_cubical_complex,
@@ -250,7 +250,12 @@ def criterion_09(seed: int = 0) -> CriterionResult:
     sx = suspension(c4, "+a", "+b")
     is_cycle = regular_boundary(sz).is_zero()
     in_lattice = build_omega_complex(sx, 2).lattice_coords(sz) is not None
-    emap = path_suspension_map(c4, 1)
+    # the long-exact-sequence composite: it reads no suspension cycle
+    emap = suspension_composite(
+        build_omega_pair(cone(c4, "+a"), c4, 3),
+        build_omega_pair(sx, cone(c4, "+b"), 3),
+        1,
+    )
     via_map = emap.matrix.apply(build_omega_complex(c4, 2).class_of(z).coords)
     direct = build_omega_complex(sx, 3).class_of(sz).coords
     ok = is_cycle and in_lattice and tuple(via_map) == tuple(direct)

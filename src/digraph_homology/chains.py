@@ -4,6 +4,12 @@ that path and cubical homology share: formal-sum chains, the complex of a
 digraph with its homology and classes, the pair of a digraph and a
 subdigraph, and the suspension homomorphism.
 
+The suspension homomorphism E: H_n(x) -> H_{n+1}(Sx) (reduced at n = 0)
+is `suspension_map`: the class of each source generator's suspension
+cycle, which a theory gives as a chain-level `suspend`.  The long exact
+sequence route through the cone pairs, `suspension_composite`, computes
+the same map independently and is kept as its oracle.
+
 A chain complex stores, per degree, an ordered generator basis and the
 boundary as sparse columns into the previous degree.  Homology groups are
 computed with explicit generator representatives so that induced maps
@@ -619,11 +625,29 @@ class DigraphPair(Reducible):
         return self.pair.quotient_class(*self.ambient.chain_vector(chain))
 
 
+def suspension_map(
+    x: DigraphComplex, sx: DigraphComplex, n: int, suspend: Callable[[Chain], Chain]
+) -> GroupMap:
+    """The suspension homomorphism H_n(x) -> H_{n+1}(Sx), reduced at n = 0:
+    the j-th column is the class of `suspend(z_j)`, where z_j represents the
+    j-th generator of the source and `suspend` is a theory's chain-level
+    suspension of cycles.  `chain_vector` raises if a suspended cycle leaves
+    the chains of Sx, and `hom_map` if it is not a cycle there."""
+    source = (x.reduced if n == 0 else x).complex.homology(n)
+    target = sx.complex.homology(n + 1)
+    images = [
+        sx.chain_vector(suspend(x.coords_to_chain(n, source.representative(j))))[1]
+        for j in range(source.n_generators)
+    ]
+    return hom_map(source, target, images)
+
+
 def suspension_composite(cone_pair: DigraphPair, susp_pair: DigraphPair, n: int) -> GroupMap:
     """The suspension homomorphism H_n(x) -> H_{n+1}(Sx) as
     (quotient map)^-1 after (pair map) after (connecting map)^-1, through
     the cone pair (C^+x, x) and the suspension pair (Sx, C^-x).  The pair
     map is induced by the inclusion of C^+x into Sx, read through chains.
+    It never reads a suspension cycle, so it checks `suspension_map`.
 
     At n = 0 the connecting map is only invertible against the augmented
     degree-0 group, so the composite runs through the reduced pairs and

@@ -15,14 +15,15 @@ unit grid's generator, so faces, degeneracy tests and `iota` images are
 tuple gathers from a cube's values.
 
 Also houses the corner-to-corner generator of the unit grid's allowed
-chains, the induced chain map into path chains, and the comparison map
-from cubical to path homology built from it.
+chains, the induced chain map into path chains, the comparison map from
+cubical to path homology built from it, and the cubical suspension cycle
+with the suspension homomorphism read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count, permutations
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
@@ -33,10 +34,11 @@ from .chains import (
     DigraphComplex,
     DigraphPair,
     GroupMap,
+    NotACycleError,
     hom_map,
-    suspension_composite,
+    suspension_map,
 )
-from .digraphs import Digraph, cone, suspension
+from .digraphs import Digraph, suspension
 from .intlinalg import AbelianGroup
 from .paths import PathChain, build_omega_complex, is_regular
 
@@ -522,6 +524,41 @@ def comparison_L(
     return hom_map(hd_c, hd_p, images)
 
 
+# --- suspension ---------------------------------------------------------------
+
+
+def _suspend(z: CubicalChain, target: Digraph, apex_a, apex_b) -> CubicalChain:
+    """C_b z - C_a z for a degree-n chain z, unchecked.  C_p sends a cube to
+    its cone with p along a new first axis: values + (p,) * 2^n."""
+    n = z.degree
+    terms = {}
+    for apex, sign in ((apex_b, 1), (apex_a, -1)):
+        tail = (apex,) * 2**n
+        for cube, coeff in z.terms.items():
+            terms[SingularCube(n + 1, cube.values + tail, target)] = sign * coeff
+    return CubicalChain(n + 1, terms)
+
+
+def cubical_suspension_cycle(
+    z: CubicalChain, x: Digraph, apex_a="+a", apex_b="+b"
+) -> CubicalChain:
+    """Chain-level cubical suspension of a cycle z of x (reduced at n = 0):
+    C_b z - C_a z, where C_p puts the cone to p on a new first axis.  The
+    face signs (-1)^(i+k) give d(C_p s) = -s - C_p(ds) modulo degenerate
+    cubes (plus the vertex p at n = 0), so the result, verified, is a cycle
+    of the suspension; its class is the suspension map applied to [z]."""
+    n = z.degree
+    cx = build_cubical_complex(x, n, reduced=(n == 0))
+    if cx.complex.boundary_of(n, cx.chain_vector(z)[1]):
+        raise NotACycleError(f"chain is not a cycle in degree {n}")
+    sx = suspension(x, apex_a, apex_b)
+    out = _suspend(z, sx, apex_a, apex_b)
+    csx = build_cubical_complex(sx, n + 1)
+    if csx.complex.boundary_of(n + 1, csx.chain_vector(out)[1]):
+        raise AssertionError("suspension cycle has nonzero boundary")
+    return out
+
+
 def cubical_suspension_map(
     x: Digraph,
     n: int,
@@ -531,10 +568,11 @@ def cubical_suspension_map(
     apex_b="+b",
 ) -> GroupMap:
     """The cubical suspension homomorphism H^c_n(x) -> H^c_{n+1}(suspension)
-    (reduced at n = 0), computed by `suspension_composite` through the two
-    cone pairs."""
-    pair_cone = build_cubical_pair(cone(x, apex_a), x, n + 2, dim_bound, vertex_bound)
-    pair_susp = build_cubical_pair(
-        suspension(x, apex_a, apex_b), cone(x, apex_b), n + 2, dim_bound, vertex_bound
-    )
-    return suspension_composite(pair_cone, pair_susp, n)
+    (reduced at n = 0) by `chains.suspension_map`: the class of the cycle
+    C_b z - C_a z of each generator z, since d(C_p s) = -s - C_p(ds) modulo
+    degenerate cubes.  The bounds are checked on the suspension first."""
+    sx = suspension(x, apex_a, apex_b)
+    csx = build_cubical_complex(sx, n + 2, dim_bound, vertex_bound)
+    cx = build_cubical_complex(x, n + 1, dim_bound, vertex_bound)
+    suspend = partial(_suspend, target=sx, apex_a=apex_a, apex_b=apex_b)
+    return suspension_map(cx, csx, n, suspend)

@@ -901,11 +901,31 @@ def certificate_to_json(steps: Sequence[CertificateStep]) -> list:
     return out
 
 
+def _shrinking_from_json(tables) -> Optional[ShrinkingMap]:
+    if not tables:
+        return None
+    if not isinstance(tables, list) or not all(
+        isinstance(tab, list) and all(type(x) is int for x in tab) for tab in tables
+    ):
+        raise GridError("a shrinking map must be a list of integer tables")
+    return ShrinkingMap.from_tables(tables)
+
+
 def certificate_from_json(data: list, target: Optional[Digraph] = None) -> list[CertificateStep]:
+    """The steps of a certificate: a list of objects, each with a direction
+    of "fwd" (the default) or "bwd" and shrinking maps given as lists of
+    integer tables.  Raises GridError otherwise."""
+    if not isinstance(data, list):
+        raise GridError(f"a certificate must be a JSON list, got {type(data).__name__}")
     steps = []
     for item in data:
-        left = ShrinkingMap.from_tables(item["left"]) if item.get("left") else None
-        right = ShrinkingMap.from_tables(item["right"]) if item.get("right") else None
+        if not isinstance(item, dict):
+            raise GridError(f"a certificate step must be an object, got {type(item).__name__}")
+        direction = item.get("direction", "fwd")
+        if direction not in ("fwd", "bwd"):
+            raise GridError(f"a step's direction must be 'fwd' or 'bwd', got {direction!r}")
+        left = _shrinking_from_json(item.get("left"))
+        right = _shrinking_from_json(item.get("right"))
         nxt = grid_map_from_json(item["next"], target) if item.get("next") else None
-        steps.append(CertificateStep(left, right, item.get("direction", "fwd"), nxt))
+        steps.append(CertificateStep(left, right, direction, nxt))
     return steps

@@ -3,13 +3,13 @@
 Allowed paths, the regular boundary (faces with equal adjacent vertices
 vanish), the complex of allowed chains whose boundary stays allowed, and
 absolute/relative path homology.  Also the chain-level suspension cycle
-construction and the suspension homomorphism computed as a composite of
-long-exact-sequence maps.
+construction and the suspension homomorphism as the classes of suspension
+cycles.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from .chains import (
@@ -19,9 +19,9 @@ from .chains import (
     DigraphPair,
     GroupMap,
     NotACycleError,
-    suspension_composite,
+    suspension_map,
 )
-from .digraphs import Digraph, DigraphMap, check_digraph_map, cone, suspension
+from .digraphs import Digraph, DigraphMap, check_digraph_map, suspension
 from .intlinalg import AbelianGroup, Echelon, sparse_kernel_basis
 
 
@@ -288,6 +288,12 @@ def append_vertex(chain: PathChain, v) -> PathChain:
     )
 
 
+def _suspend(z: PathChain, apex_a, apex_b) -> PathChain:
+    """(-1)^(n+1) * (z.a - z.b) for a degree-n chain z, unchecked."""
+    sign = -1 if (z.degree + 1) % 2 else 1
+    return (append_vertex(z, apex_a) - append_vertex(z, apex_b)).scale(sign)
+
+
 def suspension_cycle(
     z: PathChain, x: Digraph, apex_a="+a", apex_b="+b"
 ) -> PathChain:
@@ -306,8 +312,7 @@ def suspension_cycle(
             raise NotACycleError("a degree-0 chain must sum to zero (reduced cycle)")
     elif not regular_boundary(z).is_zero():
         raise NotACycleError("chain is not a cycle")
-    sign = -1 if (n + 1) % 2 else 1
-    out = (append_vertex(z, apex_a) - append_vertex(z, apex_b)).scale(sign)
+    out = _suspend(z, apex_a, apex_b)
     sx = suspension(x, apex_a, apex_b)
     oc_sx = build_omega_complex(sx, n + 1)
     if oc_sx.lattice_coords(out) is None:
@@ -319,8 +324,11 @@ def suspension_cycle(
 
 def path_suspension_map(x: Digraph, n: int, apex_a="+a", apex_b="+b") -> GroupMap:
     """The suspension homomorphism H_n(x) -> H_{n+1}(suspension of x)
-    (reduced at n = 0), computed by `suspension_composite` through the
-    two cone pairs."""
-    pair_cone = build_omega_pair(cone(x, apex_a), x, n + 2)
-    pair_susp = build_omega_pair(suspension(x, apex_a, apex_b), cone(x, apex_b), n + 2)
-    return suspension_composite(pair_cone, pair_susp, n)
+    (reduced at n = 0): by `chains.suspension_map`, the class of the
+    suspension cycle (-1)^(n+1) * (z.a - z.b) of each generator z."""
+    return suspension_map(
+        build_omega_complex(x, n + 1),
+        build_omega_complex(suspension(x, apex_a, apex_b), n + 2),
+        n,
+        partial(_suspend, apex_a=apex_a, apex_b=apex_b),
+    )

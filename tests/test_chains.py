@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from functools import partial
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +16,10 @@ from digraph_homology.chains import (
     HomologyClass,
     homology_of,
     les_connecting_map,
+    suspension_composite,
     verify_exactness,
 )
+from digraph_homology.cubes import build_cubical_pair, cubical_suspension_map
 from digraph_homology.digraphs import build_digraph, cone, cycle_digraph, suspension
 from digraph_homology.intlinalg import (
     AbelianGroup,
@@ -25,7 +30,13 @@ from digraph_homology.intlinalg import (
     sparse_kernel_basis,
     vec_addmul,
 )
-from digraph_homology.paths import build_omega_complex, build_omega_pair, path_homology
+from digraph_homology.paths import (
+    build_omega_complex,
+    build_omega_pair,
+    path_homology,
+    path_suspension_map,
+)
+from digraph_homology.randomgen import random_digraph
 
 
 def two_step(matrix_entries):
@@ -327,3 +338,61 @@ def test_homology_class_arithmetic():
     assert (a + b).coords == (0, 1)
     assert (-a).coords == (1, -1)
     assert a.scale(2).coords == (0, 2)
+
+
+def rp2_face_poset():
+    """The Hasse diagram of the faces of the six-vertex projective plane,
+    each face to the faces one dimension up that contain it: H_1 = Z/2."""
+    triangles = [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+    ]
+    faces = {frozenset(f) for t in triangles for k in (1, 2, 3) for f in combinations(t, k)}
+    name = {f: "".join(map(str, sorted(f))) for f in faces}
+    ordered = sorted(faces, key=lambda f: (len(f), name[f]))
+    arrows = [
+        (name[a], name[b]) for a in ordered for b in ordered if a < b and len(b) == len(a) + 1
+    ]
+    return build_digraph([name[f] for f in ordered], arrows)
+
+
+def test_suspension_maps_match_the_composite():
+    """Both suspension maps, read from suspension cycles, equal the long
+    exact sequence composite through the cone pairs, on 40 seeded random
+    digraphs (the last 10 with nonzero H_1), the suspension of C4 (H_2 = Z) and
+    the face poset of the projective plane (H_1 = Z/2).  No random digraph
+    on at most six vertices had torsion in 40,000 draws.  Every theory and
+    degree has a nonzero map on a free group, where a flipped sign shows."""
+    theories = {
+        "path": (path_suspension_map, build_omega_pair, (0, 1, 2)),
+        "cubical": (cubical_suspension_map, build_cubical_pair, (0, 1)),
+    }
+    nonzero = Counter()
+
+    def check(x, vertex_bound=12):
+        for theory, (suspension_map, build_pair, degrees) in theories.items():
+            if theory == "cubical":
+                suspension_map = partial(suspension_map, vertex_bound=vertex_bound)
+                build_pair = partial(build_pair, vertex_bound=vertex_bound)
+            for n in degrees:
+                cone_pair = build_pair(cone(x, "+a"), x, n + 2)
+                susp_pair = build_pair(suspension(x, "+a", "+b"), cone(x, "+b"), n + 2)
+                e = suspension_map(x, n)
+                assert e == suspension_composite(cone_pair, susp_pair, n), (x, theory, n)
+                nonzero[theory, n] += e.source.rank > 0 and not e.is_zero()
+
+    rng = random.Random(12)
+    digraphs = [
+        random_digraph(rng, max_vertices=5, max_arrows=8, min_vertices=2) for _ in range(30)
+    ]
+    while len(digraphs) < 40:
+        x = random_digraph(rng, max_vertices=5, max_arrows=8, min_vertices=3)
+        if path_homology(x, 1).rank:
+            digraphs.append(x)
+    digraphs.append(suspension(cycle_digraph(4), "c", "d"))
+    for x in digraphs:
+        check(x)
+    assert all(nonzero[theory, n] for theory, (*_, degrees) in theories.items() for n in degrees)
+    rp2 = rp2_face_poset()
+    assert path_homology(rp2, 1) == AbelianGroup(0, (2,))
+    check(rp2, vertex_bound=33)

@@ -278,6 +278,22 @@ def test_verify_certificate(tmp_path, capsys):
     assert code == 1 and out.strip() == "FAIL"
 
 
+@pytest.mark.parametrize(
+    "document",
+    [[5], ["s"], {"x": 1}, [{"direction": "sideways"}], [{"left": [["x"]]}]],
+    ids=["number-step", "string-step", "object", "sideways", "text-table"],
+)
+def test_malformed_certificate_exit_code(tmp_path, capsys, document):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(grid_map_to_json(winding_json())))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "verify", "certificate", good, good, cert)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.fixture
 def cone_pair_file(tmp_path, capsys, c4_file):
     cone_file = tmp_path / "cone.json"

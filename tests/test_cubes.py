@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from digraph_homology.chains import verify_exactness
+from digraph_homology.chains import NotACycleError, verify_exactness
 from digraph_homology.cli import main
 from digraph_homology.cubes import (
     BoundExceededError,
@@ -20,6 +20,7 @@ from digraph_homology.cubes import (
     cube_corners,
     cubical_boundary,
     cubical_homology,
+    cubical_suspension_cycle,
     cubical_suspension_map,
     enumerate_cubes,
     face,
@@ -502,6 +503,44 @@ def test_comparison_commutes_with_suspension_on_c4():
     assert ep == other
 
 
+def test_cubical_suspension_cycle_realizes_the_suspension_map():
+    for m in (3, 4, 5, 6):
+        x = cycle_digraph(m)
+        z = CubicalChain(1, {SingularCube(1, (i, (i + 1) % m), x): 1 for i in range(m)})
+        sz = cubical_suspension_cycle(z, x)
+        sx = suspension(x, "+a", "+b")
+        cones = {(i, (i + 1) % m, p, p): s for i in range(m) for p, s in (("+a", -1), ("+b", 1))}
+        assert sz == CubicalChain(2, {SingularCube(2, v, sx): s for v, s in cones.items()})
+        assert all(is_degenerate(c) for c in cubical_boundary(sz).terms)
+        z_class = build_cubical_complex(x, 2).class_of(z)
+        sz_class = build_cubical_complex(sx, 3).class_of(sz)
+        assert z_class.coords in ((1,), (-1,))
+        assert cubical_suspension_map(x, 1)(z_class) == sz_class
+
+
+def test_cubical_suspension_cycle_of_two_points():
+    two = build_digraph(["v", "w"], [])
+    z = CubicalChain(0, {SingularCube(0, ("v",), two): 1, SingularCube(0, ("w",), two): -1})
+    sz = cubical_suspension_cycle(z, two)
+    sx = suspension(two, "+a", "+b")
+    values = {("v", "+b"): 1, ("w", "+b"): -1, ("v", "+a"): -1, ("w", "+a"): 1}
+    assert sz == CubicalChain(1, {SingularCube(1, v, sx): k for v, k in values.items()})
+    assert cubical_boundary(sz).is_zero()
+    z_class = build_cubical_complex(two, 1, reduced=True).class_of(z)
+    sz_class = build_cubical_complex(sx, 2).class_of(sz)
+    assert z_class.coords in ((1,), (-1,)) and sz_class.coords in ((1,), (-1,))
+    assert cubical_suspension_map(two, 0)(z_class) == sz_class
+
+
+def test_cubical_suspension_cycle_rejects_a_non_cycle():
+    c4 = cycle_digraph(4)
+    with pytest.raises(NotACycleError):
+        cubical_suspension_cycle(CubicalChain(1, {SingularCube(1, (0, 1), c4): 1}), c4)
+    with pytest.raises(NotACycleError):
+        cubical_suspension_cycle(CubicalChain(0, {SingularCube(0, (0,), c4): 1}), c4)
+    assert cubical_suspension_cycle(CubicalChain(1), c4).is_zero()
+
+
 def test_cube_json():
     c4 = cycle_digraph(4)
     arrow = SingularCube(1, (0, 1), c4)
@@ -538,6 +577,11 @@ def test_a_warm_cache_never_bypasses_a_bound(tmp_path):
         cubical_homology(g, 3)
     with pytest.raises(BoundExceededError, match="^dimension 4 exceeds bound 3$"):
         cc.complex.homology(3)  # degrees built on demand stay within the defaults
+    cubical_suspension_map(g, 1)
+    with pytest.raises(BoundExceededError, match="^dimension 3 exceeds bound 2$"):
+        cubical_suspension_map(g, 1, dim_bound=2)
+    with pytest.raises(BoundExceededError, match="^6 vertices exceed bound 5$"):
+        cubical_suspension_map(g, 1, vertex_bound=5)
     argv = ["homology", str(path), "--theory", "cubical", "--dim", "2", "--maxdim", "2"]
     assert main(argv) == 3
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digraph_homology.chains import NotACycleError
+from digraph_homology.chains import NotACycleError, suspension_composite
 from digraph_homology.digraphs import (
     DigraphMap,
     build_digraph,
+    cone,
     cycle_digraph,
     inclusion_map,
     suspension,
@@ -22,7 +23,6 @@ from digraph_homology.paths import (
     build_omega_complex,
     build_omega_pair,
     path_homology,
-    path_suspension_map,
     is_regular,
     pushforward,
     regular_boundary,
@@ -173,8 +173,9 @@ def test_suspension_cycle_class_matches_connecting_composite():
         if hd.group.is_trivial():
             continue
         checked += 1
-        emap = path_suspension_map(x, 1)
         sx = suspension(x, "+a", "+b")
+        cone_pair = build_omega_pair(cone(x, "+a"), x, 3)
+        emap = suspension_composite(cone_pair, build_omega_pair(sx, cone(x, "+b"), 3), 1)
         hd_sx = build_omega_complex(sx, 3).complex.homology(2)
         for j in range(hd.n_generators):
             z = oc.coords_to_chain(1, hd.representative(j))
