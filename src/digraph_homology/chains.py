@@ -33,7 +33,7 @@ from .intlinalg import (
     NotASublatticeError,
     _snf_full,
     _solve_from_snf,
-    sparse_kernel_basis,
+    kernel_echelon,
     vec_addmul,
 )
 
@@ -223,11 +223,7 @@ class HomologyData:
     def __init__(self, complex: ChainComplex, n: int):
         self.complex = complex
         self.n = n
-        cols = complex.boundary_cols.get(n, [])
-        kernel_vecs = sparse_kernel_basis(cols, complex.dim(n - 1))
-        self._kernel = Echelon()
-        for v in kernel_vecs:
-            self._kernel.add(v)
+        self._kernel = kernel_echelon(complex.boundary_cols.get(n, []), complex.dim(n - 1))
         self._kernel_basis = self._kernel.basis_vectors()
 
         image = Echelon()
@@ -380,43 +376,31 @@ class GroupMap:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
+    def _presentation_cols(self) -> list[list[int]]:
+        """The matrix columns followed by the target relations: together
+        they generate the image subgroup's preimage in Z^{target gens}."""
+        return [list(c) for c in self.matrix.columns()] + _relation_vectors(self.target)
+
     def image_generators(self) -> list[list[int]]:
         """Generators in Z^{target gens} of the image subgroup's preimage
         lattice (image columns together with target relations)."""
-        gens = [list(self.matrix.column(j)) for j in range(self.matrix.cols)]
-        gens.extend(_relation_vectors(self.target))
-        return gens
+        return self._presentation_cols()
 
     def kernel_generators(self) -> list[list[int]]:
         """Generators in Z^{source gens} of the kernel subgroup's preimage
         lattice (includes source relations)."""
-        t_rels = _relation_vectors(self.target)
-        stacked = self.matrix
-        for rel in t_rels:
-            stacked = stacked.hstack(IntMatrix.from_cols([rel], rows=len(rel)))
         s = self.source.n_generators
-        kernel = sparse_kernel_basis(
-            [
-                {i: v for i, v in enumerate(stacked.column(j)) if v}
-                for j in range(stacked.cols)
-            ],
-            stacked.rows,
-        )
-        gens = []
-        for vec in kernel:
-            gens.append([vec.get(i, 0) for i in range(s)])
+        cols = [{i: x for i, x in enumerate(c) if x} for c in self._presentation_cols()]
+        kernel = kernel_echelon(cols, self.target.n_generators)
+        gens = [[vec.get(i, 0) for i in range(s)] for vec in kernel.basis_vectors()]
         gens.extend(_relation_vectors(self.source))
         return gens
 
     def inverse(self) -> "GroupMap":
         """Inverse homomorphism; raises if this map is not an isomorphism."""
-        t_rels = _relation_vectors(self.target)
-        stacked = self.matrix
-        for rel in t_rels:
-            stacked = stacked.hstack(IntMatrix.from_cols([rel], rows=len(rel)))
         s = self.source.n_generators
         t = self.target.n_generators
-        snf = _snf_full(stacked)
+        snf = _snf_full(IntMatrix.from_cols(self._presentation_cols(), rows=t))
         cols = []
         for j in range(t):
             e = [1 if i == j else 0 for i in range(t)]

@@ -301,19 +301,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="digraph-homology",
         description="Path and cubical homology of finite digraphs over the integers.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
+    # each subcommand takes only the shared flags it reads
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
+    maxdim_flag = argparse.ArgumentParser(add_help=False)
+    maxdim_flag.add_argument(
         "--maxdim",
         type=int,
         default=3,
         help="degree bound for chain generation (default 3; higher values can be slow)",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    reporting = [json_flag, maxdim_flag]
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("homology", parents=[common], help="compute a homology group")
+    p = sub.add_parser("homology", parents=reporting, help="compute a homology group")
     p.add_argument("input", help="digraph JSON file")
     p.add_argument("--theory", choices=["path", "cubical"], default="path")
     p.add_argument("--dim", type=int, required=True)
@@ -321,28 +323,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduced", action="store_true", help="augmented (reduced) homology")
     p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("build", parents=[common], help="construct digraphs")
+    p = sub.add_parser("build", help="construct digraphs")
     p.add_argument("op", choices=["cone", "suspend", "boxprod"])
     p.add_argument("inputs", nargs="+", help="digraph JSON file(s)")
     p.add_argument("--times", type=int, default=1, help="iterate the construction")
     p.add_argument("--output", "-o", help="output file (default: stdout)")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("hurewicz", parents=[common], help="homology classes of a grid map")
+    p = sub.add_parser("hurewicz", parents=reporting, help="homology classes of a grid map")
     p.add_argument("gridmap", help="grid-map JSON file")
     p.add_argument("--relative", action="store_true", help="require a triple-mode map")
     p.add_argument("--show-chain", action="store_true", help="print the cube decomposition")
     p.set_defaults(func=cmd_hurewicz)
 
-    p = sub.add_parser("compare", parents=[common], help="cubical-to-path comparison matrix")
+    p = sub.add_parser("compare", parents=reporting, help="cubical-to-path comparison matrix")
     p.add_argument("input", help="digraph JSON file")
     p.add_argument("--dim", type=int, required=True)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("verify", parents=[common], help="verification commands")
+    p = sub.add_parser("verify", parents=[maxdim_flag], help="verification commands")
     p.add_argument("what", choices=["certificate", "exactness", "paper-suite"])
     p.add_argument("inputs", nargs="*", help="input files (see README)")
     p.add_argument("--theory", choices=["path", "cubical"], default="path")
+    p.add_argument("--seed", type=int, default=0, help="seed for the paper suite")
     p.set_defaults(func=cmd_verify)
 
     return parser

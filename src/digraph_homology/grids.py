@@ -427,6 +427,9 @@ class ShrinkingMap:
     def from_tables(tables: Sequence[Sequence[int]]) -> "ShrinkingMap":
         """Standard-line shrinking map from raw per-axis tables."""
         tables = tuple(tuple(int(x) for x in tab) for tab in tables)
+        for k, tab in enumerate(tables):
+            if not tab:
+                raise ShapeMismatchError(f"shrinking map table {k} is empty")
         source = tuple(standard_line(len(tab) - 1) for tab in tables)
         target = tuple(standard_line(tab[-1]) for tab in tables)
         return ShrinkingMap(source, target, tables)

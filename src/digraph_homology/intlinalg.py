@@ -5,9 +5,11 @@ integer lattices with exact membership tests, and finitely generated
 abelian group presentations.  Everything runs on arbitrary-precision
 Python integers; no floating point is used anywhere.
 
-Vectors of the large matrices are sparse dicts: `sparse_kernel_basis`
-and `Echelon` carry boundary matrices and lattice coordinates, and
-`Cokernel` presents Z^k / (relations) by eliminating unit pivots sparsely.
+Vectors of the large matrices are sparse dicts.  `Echelon` is the one
+elimination loop for lattices: it spans images, and `kernel_echelon`
+reads an echelon basis of a kernel off one `Echelon` of the extended
+columns.  `Cokernel` presents Z^k / (relations) by eliminating unit
+pivots sparsely.
 The dense `_snf_full` is the one Smith-form engine; it sees only
 presentation-sized matrices and the non-unit residual block a `Cokernel`
 leaves, which is usually empty.
@@ -95,14 +97,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix([self.column(j) for j in range(self.cols)], cols=self.rows)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return IntMatrix(
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-            cols=self.cols + other.cols,
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -618,58 +612,24 @@ class Echelon:
         return out
 
 
-def sparse_kernel_basis(cols: list[dict], nrows: int) -> list[dict]:
-    """Basis of {x in Z^len(cols) : sum x_j * cols[j] == 0}.
+def kernel_echelon(cols: list[dict], nrows: int) -> Echelon:
+    """Echelon basis of the integer kernel {x : sum x_j * cols[j] == 0}.
 
-    Columns are sparse dicts over row indices 0..nrows-1.  The returned
-    basis spans the full integer kernel (hence a saturated lattice).
+    Columns are sparse dicts over rows 0..nrows-1.  Column j, extended by
+    a 1 at row nrows + j, is added to one `Echelon`, j ascending.  Its
+    eliminations are unimodular, so the echelon spans every (A x, x); the
+    basis vectors with pivots at rows >= nrows span those with A x == 0,
+    and shifted down by nrows they are an echelon basis of the full
+    (hence saturated) integer kernel.
     """
-    ncols = len(cols)
-    work: list[Optional[dict]] = []
-    row_index: dict[int, set[int]] = {}
+    ech = Echelon()
     for j, col in enumerate(cols):
-        w = dict(col)
-        w[nrows + j] = 1
-        work.append(w)
-        for i in col:
-            row_index.setdefault(i, set()).add(j)
-
-    def touch(j, w, r):
-        # rows at or below r are never read again
-        for i in w:
-            if r < i < nrows:
-                row_index.setdefault(i, set()).add(j)
-
-    retired = [False] * ncols
-    for r in range(nrows):
-        live = [j for j in row_index.get(r, ()) if not retired[j] and work[j].get(r)]
-        if not live:
-            continue
-        pivot_j = min(live, key=lambda j: (abs(work[j][r]), j))
-        pv = work[pivot_j]
-        for j in live:
-            if j == pivot_j:
-                continue
-            w = work[j]
-            a, b = pv[r], w[r]
-            if b % a == 0:
-                vec_addmul(w, pv, -(b // a))
-            else:
-                pv, w = _gcd_combine(pv, w, a, b)
-                work[pivot_j], work[j] = pv, w
-                touch(pivot_j, pv, r)
-            touch(j, w, r)
-        retired[pivot_j] = True
-
-    out = []
-    for j in range(ncols):
-        if retired[j]:
-            continue
-        w = work[j]
-        if any(i < nrows for i in w):
-            continue
-        out.append({i - nrows: val for i, val in w.items()})
-    return out
+        ech.add({**col, nrows + j: 1})
+    kernel = Echelon()
+    for p, vec in ech.pivots.items():
+        if p >= nrows:
+            kernel.pivots[p - nrows] = {i - nrows: x for i, x in vec.items()}
+    return kernel
 
 
 class Cokernel:

@@ -22,7 +22,7 @@ from .chains import (
     suspension_map,
 )
 from .digraphs import Digraph, DigraphMap, check_digraph_map, suspension
-from .intlinalg import AbelianGroup, Echelon, sparse_kernel_basis
+from .intlinalg import AbelianGroup, Echelon, kernel_echelon
 
 
 class InvalidMappingError(ValueError):
@@ -163,12 +163,8 @@ class OmegaComplex(DigraphComplex):
                 cols.append({k: v for k, v in col.items() if v})
             # in degree 0 the empty face has no row, so every boundary is zero
             if n == 0:
-                basis = [{i: 1} for i in range(len(paths))]
-            else:
-                basis = sparse_kernel_basis(cols, len(nonallowed_rows))
-            ech = Echelon()
-            for vec in basis:
-                ech.add(vec)
+                cols, nonallowed_rows = [{}] * len(paths), {}
+            ech = kernel_echelon(cols, len(nonallowed_rows))
             below_ech = self._echelons.get(n - 1, Echelon())
             bcols = []
             for vec in ech.basis_vectors():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from digraph_homology.cli import main
+from digraph_homology.cli import build_parser, main
 from digraph_homology.digraphs import (
     cone,
     cycle_digraph,
@@ -113,6 +113,41 @@ def test_relative_homology(tmp_path, capsys, c4_file):
         )
         assert code == 0
         assert out.strip() == "H_2 = Z"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "homology IN --theory cubical --dim 1 --relative SUB --reduced --json --maxdim 4",
+        "build boxprod IN IN --times 2 -o OUT",
+        "hurewicz MAP --relative --show-chain --json --maxdim 4",
+        "compare IN --dim 1 --json --maxdim 4",
+        "verify certificate F G CERT",
+        "verify exactness PAIR --theory cubical --maxdim 2",
+        "verify paper-suite --seed 3",
+    ],
+)
+def test_documented_flags_parse(argv):
+    build_parser().parse_args(argv.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "build cone IN --json",
+        "build cone IN --maxdim 3",
+        "build cone IN --seed 0",
+        "homology IN --dim 1 --seed 0",
+        "hurewicz MAP --seed 0",
+        "compare IN --dim 1 --seed 0",
+        "verify certificate F G CERT --json",
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_negative_degree_exit_code(c4_file, capsys):
@@ -280,8 +315,24 @@ def test_verify_certificate(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "document",
-    [[5], ["s"], {"x": 1}, [{"direction": "sideways"}], [{"left": [["x"]]}]],
-    ids=["number-step", "string-step", "object", "sideways", "text-table"],
+    [
+        [5],
+        ["s"],
+        {"x": 1},
+        [{"direction": "sideways"}],
+        [{"left": [["x"]]}],
+        [{"left": [[]]}],
+        [{"left": [[]], "right": [[1]]}],
+    ],
+    ids=[
+        "number-step",
+        "string-step",
+        "object",
+        "sideways",
+        "text-table",
+        "empty-table",
+        "empty-and-full-table",
+    ],
 )
 def test_malformed_certificate_exit_code(tmp_path, capsys, document):
     good = tmp_path / "good.json"
@@ -292,6 +343,7 @@ def test_malformed_certificate_exit_code(tmp_path, capsys, document):
     assert code == 5
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "negative length" not in err
 
 
 @pytest.fixture

@@ -13,10 +13,10 @@ from digraph_homology.intlinalg import (
     NotASublatticeError,
     _snf_full,
     integer_solve,
+    kernel_echelon,
     kernel_lattice,
     quotient_group,
     smith_normal_form,
-    sparse_kernel_basis,
     random_unimodular,
     xgcd,
 )
@@ -190,18 +190,34 @@ def test_abelian_group_rendering():
 
 # --- sparse helpers -------------------------------------------------------
 
-def test_sparse_kernel_matches_dense():
+def _kernel_problems():
+    """Random matrices, then edge shapes: no rows, no columns, zero columns."""
     rng = random.Random(7)
     for _ in range(40):
         r = rng.randrange(0, 5)
         c = rng.randrange(0, 6)
-        m = IntMatrix([[rng.randrange(-4, 5) for _ in range(c)] for _ in range(r)], cols=c)
+        yield IntMatrix([[rng.randrange(-4, 5) for _ in range(c)] for _ in range(r)], cols=c)
+    yield IntMatrix.zeros(0, 3)
+    yield IntMatrix.zeros(3, 0)
+    yield IntMatrix.zeros(0, 0)
+    yield IntMatrix.zeros(2, 3)
+    yield IntMatrix([[0, 2, 0, -2], [0, 1, 0, 3]])
+
+
+def test_kernel_echelon_matches_dense():
+    for m in _kernel_problems():
+        r, c = m.shape
         cols = [{i: m.data[i][j] for i in range(r) if m.data[i][j]} for j in range(c)]
-        sparse = sparse_kernel_basis(cols, r)
+        ech = kernel_echelon(cols, r)
+        basis = ech.basis_vectors()
         dense = kernel_lattice(m)
-        assert len(sparse) == dense.rank
-        got = Lattice.from_vectors(c, [Echelon.vector_as_list(v, c) for v in sparse])
+        assert len(basis) == dense.rank
+        got = Lattice.from_vectors(c, [Echelon.vector_as_list(v, c) for v in basis])
         assert got.same_lattice(dense)
+        # echelon: each vector's smallest index is its pivot, with a positive entry
+        assert [min(v) for v in basis] == sorted(ech.pivots)
+        assert all(ech.pivots[min(v)] is v and v[min(v)] > 0 for v in basis)
+        assert all(0 <= min(v) and max(v) < c for v in basis)
 
 
 def test_echelon_solve():
