@@ -15,6 +15,9 @@ boundary as sparse columns into the previous degree.  Homology groups are
 computed with explicit generator representatives so that induced maps
 (inclusions, quotients, connecting homomorphisms, comparison maps) come
 out as honest integer matrices in fixed coordinates.
+
+A complex pair splits each degree by the `Cokernel` of its inclusion
+columns and solves sub coordinates through their `extended_echelon`.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .intlinalg import (
     Echelon,
     IntMatrix,
     NotASublatticeError,
-    _snf_full,
-    _solve_from_snf,
+    combination,
+    extended_echelon,
     kernel_echelon,
     vec_addmul,
 )
@@ -162,12 +165,7 @@ class ChainComplex:
     def boundary_of(self, n: int, vec: dict) -> dict:
         """Boundary of a degree-n chain given as a sparse coordinate dict."""
         cols = self.boundary_cols.get(n)
-        out: dict = {}
-        if not cols:
-            return out
-        for j, coeff in vec.items():
-            vec_addmul(out, cols[j], coeff)
-        return out
+        return combination(cols, vec) if cols else {}
 
     def check_square_zero(self) -> None:
         for n in sorted(self.boundary_cols):
@@ -247,10 +245,7 @@ class HomologyData:
 
     def representative(self, j: int) -> dict:
         """Chain-level representative of the j-th homology generator."""
-        out: dict = {}
-        for i, coeff in self._quotient.generators[j].items():
-            vec_addmul(out, self._kernel_basis[i], coeff)
-        return out
+        return combination(self._kernel_basis, self._quotient.generators[j])
 
     def class_vector(self, vec: dict) -> tuple[int, ...]:
         """Coordinates of a cycle's class in the chosen generators."""
@@ -376,22 +371,20 @@ class GroupMap:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
-    def _presentation_cols(self) -> list[list[int]]:
-        """The matrix columns followed by the target relations: together
-        they generate the image subgroup's preimage in Z^{target gens}."""
-        return [list(c) for c in self.matrix.columns()] + _relation_vectors(self.target)
+    def _presentation_cols(self) -> list[dict]:
+        """`image_generators` as sparse dicts."""
+        return [{i: x for i, x in enumerate(c) if x} for c in self.image_generators()]
 
     def image_generators(self) -> list[list[int]]:
         """Generators in Z^{target gens} of the image subgroup's preimage
         lattice (image columns together with target relations)."""
-        return self._presentation_cols()
+        return [list(c) for c in self.matrix.columns()] + _relation_vectors(self.target)
 
     def kernel_generators(self) -> list[list[int]]:
         """Generators in Z^{source gens} of the kernel subgroup's preimage
         lattice (includes source relations)."""
         s = self.source.n_generators
-        cols = [{i: x for i, x in enumerate(c) if x} for c in self._presentation_cols()]
-        kernel = kernel_echelon(cols, self.target.n_generators)
+        kernel = kernel_echelon(self._presentation_cols(), self.target.n_generators)
         gens = [[vec.get(i, 0) for i in range(s)] for vec in kernel.basis_vectors()]
         gens.extend(_relation_vectors(self.source))
         return gens
@@ -400,14 +393,13 @@ class GroupMap:
         """Inverse homomorphism; raises if this map is not an isomorphism."""
         s = self.source.n_generators
         t = self.target.n_generators
-        snf = _snf_full(IntMatrix.from_cols(self._presentation_cols(), rows=t))
+        presentation = extended_echelon(self._presentation_cols(), t)
         cols = []
         for j in range(t):
-            e = [1 if i == j else 0 for i in range(t)]
-            sol = _solve_from_snf(snf, e)
+            sol = presentation.preimage({j: 1}, t)
             if sol is None:
                 raise ValueError("map is not surjective; cannot invert")
-            cols.append(sol[:s])
+            cols.append([sol.get(i, 0) for i in range(s)])
         inv = GroupMap(self.target, self.source, IntMatrix.from_cols(cols, rows=s))
         if inv.compose(self) != GroupMap.identity(self.source):
             raise ValueError("map is not injective; cannot invert")
@@ -456,10 +448,9 @@ class ChainComplexPair(Reducible):
 
     `inclusion_cols(n)` expresses the degree-n sub basis in ambient
     coordinates.  The embedded sub lattice must be saturated degreewise
-    (true for coordinate subcomplexes and for saturated path lattices);
-    otherwise the quotient would have torsion and NotASublatticeError is
-    raised.  `reduced`, the pair of the reduced complexes, shares the
-    quotient (their augmentations agree).
+    (true for coordinate subcomplexes and saturated path lattices), or
+    NotASublatticeError is raised.  `reduced`, the pair of the reduced
+    complexes, shares the quotient (their augmentations agree).
     """
 
     _complexes = ("ambient", "sub")
@@ -496,17 +487,13 @@ class ChainComplexPair(Reducible):
         return self._adapters[n]
 
     def sub_chain_to_ambient(self, n: int, vec: dict) -> dict:
-        return self._adapter(n).include(vec)
+        return combination(self._adapter(n).inclusion_cols, vec)
 
     def ambient_chain_to_quotient(self, n: int, vec: dict) -> dict:
         return self._adapter(n).quotient_coords(vec)
 
     def quotient_section(self, n: int, vec: dict) -> dict:
-        out: dict = {}
-        ad = self._adapter(n)
-        for j, coeff in vec.items():
-            vec_addmul(out, ad.section(j), coeff)
-        return out
+        return combination(self._adapter(n).sections, vec)
 
     def quotient_class(self, n: int, vec: dict) -> HomologyClass:
         """Class in H_n(quotient) of an ambient chain that is a relative cycle."""
@@ -665,99 +652,36 @@ def les_connecting_map(pair: ChainComplexPair, n: int) -> GroupMap:
 class _DegreeAdapter:
     """Coordinate bridge for one degree of a complex pair.
 
-    Splits Z^ambient into sub coordinates and quotient coordinates via a
-    unimodular change of basis adapted to the (saturated) inclusion.  The
-    inclusion columns are kept as given, not copied.
+    The quotient Z^ambient / sub is the `Cokernel` of the inclusion
+    columns (kept as given): its generators are the sections, its
+    coordinates the quotient coordinates, and it must be free of rank
+    ambient - sub.  Sub coordinates are solved through the columns'
+    `extended_echelon`, built when a connecting map first needs it.  With
+    unit inclusion columns both coordinate maps are projections.
     """
 
     def __init__(self, ambient_dim: int, inclusion_cols: list):
         self.ambient_dim = ambient_dim
         self.sub_dim = len(inclusion_cols)
-        self.quot_dim = ambient_dim - self.sub_dim
-        self._cols = inclusion_cols
-        coord = self._coordinate_rows()
-        if coord is not None:
-            self._mode = "coordinate"
-            self._sub_rows = coord
-            row_to_sub = {r: j for j, r in enumerate(coord)}
-            self._quot_rows = [r for r in range(ambient_dim) if r not in row_to_sub]
-            self._row_to_sub = row_to_sub
-            self._row_to_quot = {r: j for j, r in enumerate(self._quot_rows)}
-        else:
-            self._mode = "general"
-            mat = IntMatrix.from_cols(
-                [Echelon.vector_as_list(c, ambient_dim) for c in self._cols],
-                rows=ambient_dim,
-            )
-            snf = _snf_full(mat)
-            if snf.rank != self.sub_dim or any(d != 1 for d in snf.divisors):
-                raise NotASublatticeError(
-                    "subcomplex is not a saturated degreewise sublattice"
-                )
-            self._U = snf.U
-            self._V = snf.V
-            self._Uinv = snf.Uinv
+        self.inclusion_cols = inclusion_cols
+        quotient = Cokernel(ambient_dim, inclusion_cols)
+        if quotient.group.torsion or quotient.group.rank != ambient_dim - self.sub_dim:
+            raise NotASublatticeError("subcomplex is not a saturated degreewise sublattice")
+        self.quot_dim = quotient.group.rank
+        self.sections = quotient.generators
+        self.quotient_coords = quotient.sparse_coords
 
-    def _coordinate_rows(self) -> Optional[list[int]]:
-        rows = []
-        seen = set()
-        for c in self._cols:
-            if len(c) != 1:
-                return None
-            (r, val), = c.items()
-            if val != 1 or r in seen:
-                return None
-            rows.append(r)
-            seen.add(r)
-        return rows
-
-    def include(self, sub_vec: dict) -> dict:
-        out: dict = {}
-        for j, coeff in sub_vec.items():
-            vec_addmul(out, self._cols[j], coeff)
-        return out
-
-    def section(self, j: int) -> dict:
-        if self._mode == "coordinate":
-            return {self._quot_rows[j]: 1}
-        return {
-            i: v
-            for i, v in enumerate(self._Uinv.column(self.sub_dim + j))
-            if v
-        }
+    @cached_property
+    def _sub_echelon(self) -> Echelon:
+        return extended_echelon(self.inclusion_cols, self.ambient_dim)
 
     def section_boundaries(self, ambient: ChainComplex, n: int) -> list[dict]:
-        """Ambient boundaries of the quotient generators' sections: in coordinate
-        mode the ambient columns themselves (unit sections; do not modify them)."""
-        if self._mode == "coordinate":
-            cols = ambient.boundary_cols.get(n, ())
-            return [cols[r] for r in self._quot_rows]
-        return [ambient.boundary_of(n, self.section(j)) for j in range(self.quot_dim)]
-
-    def quotient_coords(self, vec: dict) -> dict:
-        if self._mode == "coordinate":
-            out = {}
-            for r, val in vec.items():
-                j = self._row_to_quot.get(r)
-                if j is not None:
-                    out[j] = val
-            return out
-        full = Echelon.vector_as_list(vec, self.ambient_dim)
-        w = self._U.apply(full)
-        return {j: w[self.sub_dim + j] for j in range(self.quot_dim) if w[self.sub_dim + j]}
+        """Ambient boundaries of the sections; a unit section's is the shared column."""
+        cols = ambient.boundary_cols.get(n, ())
+        return [
+            cols[min(v)] if len(v) == 1 and 1 in v.values() else ambient.boundary_of(n, v)
+            for v in self.sections
+        ]
 
     def sub_coords(self, vec: dict) -> Optional[dict]:
-        if self._mode == "coordinate":
-            out = {}
-            for r, val in vec.items():
-                j = self._row_to_sub.get(r)
-                if j is None:
-                    return None
-                out[j] = val
-            return out
-        full = Echelon.vector_as_list(vec, self.ambient_dim)
-        w = self._U.apply(full)
-        if any(w[self.sub_dim + j] for j in range(self.quot_dim)):
-            return None
-        y = self._V.apply(list(w[: self.sub_dim]))
-        return {j: val for j, val in enumerate(y) if val}
+        return self._sub_echelon.preimage(vec, self.ambient_dim)

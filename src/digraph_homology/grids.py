@@ -430,6 +430,8 @@ class ShrinkingMap:
         for k, tab in enumerate(tables):
             if not tab:
                 raise ShapeMismatchError(f"shrinking map table {k} is empty")
+            if tab[-1] < 0:
+                raise NotMonotoneShapeError(f"shrinking map table {k} ends below 0")
         source = tuple(standard_line(len(tab) - 1) for tab in tables)
         target = tuple(standard_line(tab[-1]) for tab in tables)
         return ShrinkingMap(source, target, tables)

@@ -6,19 +6,21 @@ abelian group presentations.  Everything runs on arbitrary-precision
 Python integers; no floating point is used anywhere.
 
 Vectors of the large matrices are sparse dicts.  `Echelon` is the one
-elimination loop for lattices: it spans images, and `kernel_echelon`
-reads an echelon basis of a kernel off one `Echelon` of the extended
-columns.  `Cokernel` presents Z^k / (relations) by eliminating unit
-pivots sparsely.
-The dense `_snf_full` is the one Smith-form engine; it sees only
-presentation-sized matrices and the non-unit residual block a `Cokernel`
-leaves, which is usually empty.
+elimination loop for lattices: it spans images, and the `extended_echelon`
+of a column list gives kernels (`kernel_echelon`) and solutions
+(`Echelon.preimage`).  `Cokernel` presents Z^k / (relations) by
+eliminating unit pivots sparsely: homology groups and the quotients of
+complex pairs.  The dense `_snf_full` is the one Smith-form engine; in
+the program it sees only the non-unit residual block a `Cokernel` leaves,
+and the dense test oracles (`Lattice`, `quotient_group`, ...) run on it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
@@ -372,7 +374,7 @@ class Lattice:
         ech = Echelon()
         for vec in vectors:
             ech.add({i: x for i, x in enumerate(vec) if x})
-        cols = [ech.vector_as_list(v, ambient) for v in ech.basis_vectors()]
+        cols = [[v.get(i, 0) for i in range(ambient)] for v in ech.basis_vectors()]
         return Lattice(ambient, IntMatrix.from_cols(cols, rows=ambient), _checked=True)
 
     def _decomposition(self) -> SmithDecomposition:
@@ -500,6 +502,14 @@ def quotient_group(outer: Lattice, inner: Lattice) -> AbelianGroup:
 # Sparse helpers: vectors are dicts {index: nonzero int}.
 
 
+def combination(vectors: Sequence[dict], coeffs: dict) -> dict:
+    """sum of coeffs[j] * vectors[j], for sparse coeffs and vectors."""
+    out: dict = {}
+    for j, q in coeffs.items():
+        vec_addmul(out, vectors[j], q)
+    return out
+
+
 def vec_addmul(target: dict, source: dict, q: int) -> None:
     """target += q * source, in place, dropping zeros."""
     if not q:
@@ -604,27 +614,31 @@ class Echelon:
         position = self._positions()
         return {position[p]: q for p, q in coeffs.items()}
 
-    @staticmethod
-    def vector_as_list(vec: dict, length: int) -> list[int]:
-        out = [0] * length
-        for i, val in vec.items():
-            out[i] = val
-        return out
+    def preimage(self, vec: dict, nrows: int) -> Optional[dict]:
+        """Some x with sum x_j * cols[j] == vec, or None, for the `extended_echelon`
+        of cols: reducing vec leaves -x in the identity block."""
+        _, rem = self.reduce(vec)
+        if rem and min(rem) < nrows:
+            return None
+        return {i - nrows: -x for i, x in rem.items()}
+
+
+def extended_echelon(cols: Sequence[dict], nrows: int) -> Echelon:
+    """`Echelon` of the columns (sparse, rows < nrows), column j extended by a 1
+    at row nrows + j; its eliminations are unimodular, so it spans every (A x, x)."""
+    ech = Echelon()
+    for j, col in enumerate(cols):
+        ech.add({**col, nrows + j: 1})
+    return ech
 
 
 def kernel_echelon(cols: list[dict], nrows: int) -> Echelon:
     """Echelon basis of the integer kernel {x : sum x_j * cols[j] == 0}.
 
-    Columns are sparse dicts over rows 0..nrows-1.  Column j, extended by
-    a 1 at row nrows + j, is added to one `Echelon`, j ascending.  Its
-    eliminations are unimodular, so the echelon spans every (A x, x); the
-    basis vectors with pivots at rows >= nrows span those with A x == 0,
-    and shifted down by nrows they are an echelon basis of the full
-    (hence saturated) integer kernel.
-    """
-    ech = Echelon()
-    for j, col in enumerate(cols):
-        ech.add({**col, nrows + j: 1})
+    The `extended_echelon` vectors with pivots at rows >= nrows span the (A x, x)
+    with A x == 0; shifted down by nrows they are an echelon basis of the
+    full (hence saturated) integer kernel."""
+    ech = extended_echelon(cols, nrows)
     kernel = Echelon()
     for p, vec in ech.pivots.items():
         if p >= nrows:
@@ -641,8 +655,9 @@ class Cokernel:
     hash order.  Column operations clear the pivot row from the other
     columns and are not recorded; each pivot then leaves the row
     operation `row_l -= c_l * u * row_i` (u = c_i = ±1), which kills
-    coordinate i.  Whatever block is left has no unit entry and goes to
-    the dense `_snf_full`.
+    coordinate i.  A unit alone in its row and its column is such a pivot
+    at once, with nothing to clear.  Whatever block is left has no unit
+    entry and goes to the dense `_snf_full`.
 
     Generators are ordered torsion first (divisors increasing), then free:
     the rows outside the pivots and the residual block, in index order,
@@ -650,15 +665,24 @@ class Cokernel:
     transform that are read are kept.  `generators` holds each
     generator's column of U^-1 as a vector of Z^rows; the row operations
     read only pivot coordinates, so this is a unit vector or a column of
-    the residual's U^-1.  `coords` reads the rows of U that belong to
-    generators, stored per coordinate and found by running the row
-    operations backwards.
+    the residual's U^-1.  `sparse_coords` reads the rows of U that belong
+    to generators, stored per coordinate and found by running the row
+    operations backwards; `coords` is its dense form with torsion reduced.
+    For distinct unit relations the generators are the other rows in index
+    order, and `sparse_coords` projects onto them.
     """
 
-    def __init__(self, rows: int, relations: Iterable[dict]):
+    def __init__(self, rows: int, relations: Sequence[dict]):
+        in_rows = Counter(chain.from_iterable(relations))
         cols: dict[int, dict] = {}
         row_cols: dict[int, set[int]] = {}
+        pivot_rows = set()
         for j, rel in enumerate(relations):
+            if len(rel) == 1:
+                ((i, x),) = rel.items()
+                if (x == 1 or x == -1) and in_rows[i] == 1:
+                    pivot_rows.add(i)
+                    continue
             if rel:
                 cols[j] = dict(rel)
                 for i in rel:
@@ -697,9 +721,9 @@ class Cokernel:
                     heappush(heap, (len(cc), jj))
                 else:
                     del cols[jj]
+            pivot_rows.add(i)
             steps.append((i, u, c))
 
-        pivot_rows = {i for i, _, _ in steps}
         res_rows = sorted({r for c in cols.values() for r in c})
         reached = pivot_rows.union(res_rows)
         # (generator as a vector of Z^rows, its row of U as {row: coeff})
@@ -741,15 +765,23 @@ class Cokernel:
             if acc:
                 self._class_cols[i] = acc
 
-    def coords(self, vec: dict) -> tuple[int, ...]:
-        """Class of a vector of Z^rows in generator coordinates, torsion
-        coordinates reduced into [0, d)."""
-        out = [0] * len(self.generators)
+    def sparse_coords(self, vec: dict) -> dict:
+        """Class of a vector of Z^rows as a sparse dict {generator
+        position: coefficient}, torsion coordinates not reduced."""
+        out: dict = {}
         for r, y in vec.items():
             col = self._class_cols.get(r)
             if col:
                 for pos, x in col.items():
-                    out[pos] += y * x
+                    out[pos] = out.get(pos, 0) + y * x
+        return out if all(out.values()) else {pos: x for pos, x in out.items() if x}
+
+    def coords(self, vec: dict) -> tuple[int, ...]:
+        """Class of a vector of Z^rows in generator coordinates, torsion
+        coordinates reduced into [0, d)."""
+        out = [0] * len(self.generators)
+        for pos, x in self.sparse_coords(vec).items():
+            out[pos] = x
         return tuple(w % d if d else w for w, d in zip(out, self._divisors))
 
 

@@ -20,11 +20,12 @@ from digraph_homology.chains import (
     verify_exactness,
 )
 from digraph_homology.cubes import build_cubical_pair, cubical_suspension_map
-from digraph_homology.digraphs import build_digraph, cone, cycle_digraph, suspension
+from digraph_homology.digraphs import box_product, build_digraph, cone, cycle_digraph, suspension
 from digraph_homology.intlinalg import (
     AbelianGroup,
     Echelon,
     IntMatrix,
+    NotASublatticeError,
     _snf_full,
     kernel_echelon,
     random_unimodular,
@@ -284,15 +285,39 @@ def _digraph(vertices, arrows: str):
     return build_digraph(vertices, [(int(a), int(b)) for a, b in arrows.split()])
 
 
-def test_pair_in_general_mode():
+def _non_unit_degrees(digraph_pair, top: int) -> list[int]:
+    """Degrees whose inclusion columns are not all unit vectors."""
+    ambient, sub = digraph_pair.ambient, digraph_pair.sub
+    return [
+        n
+        for n in range(top + 1)
+        if any(len(c) != 1 or 1 not in c.values() for c in ambient.inclusion_cols(sub, n))
+    ]
+
+
+@pytest.mark.parametrize(
+    "sub_cols",
+    [[{0: 2}], [{0: 1, 1: 1}, {0: -1, 1: -1}]],
+    ids=["not-saturated", "dependent"],
+)
+def test_pair_rejects_a_non_sublattice_inclusion(sub_cols):
+    ambient = ChainComplex({0: ["e0", "e1"]}, {0: [{}, {}]})
+    sub = ChainComplex({0: [f"s{j}" for j in range(len(sub_cols))]}, {0: [{} for _ in sub_cols]})
+    pair = ChainComplexPair(ambient, sub, {0: sub_cols}.get)
+    with pytest.raises(NotASublatticeError):
+        pair.quotient.homology(0)
+
+
+def test_pair_with_non_unit_inclusion():
     # the sub lattice is saturated but not spanned by ambient basis vectors
-    # in degrees 2 and 3, so those adapters split Z^ambient by a Smith form;
-    # from a seeded search (seed 2316) for such a pair with H_2(G, A) = Z
+    # in degrees 2 and 3; from a seeded search (seed 2316) for such a pair
+    # with H_2(G, A) = Z
     g = _digraph(range(6), "01 04 05 13 15 25 30 32 34 35 41 45 52")
     a = _digraph((4, 3, 2, 1, 5, 0), "32 13 52 30 41 15 05 45 34 04 01")
-    pair = build_omega_pair(g, a, 4).pair
+    omega = build_omega_pair(g, a, 4)
+    assert _non_unit_degrees(omega, 4) == [2, 3]
+    pair = omega.pair
     adapters = pair._adapters
-    assert [n for n, ad in adapters.items() if ad._mode == "general"] == [2, 3]
     for n in (2, 3):
         ad = adapters[n]
         for j in range(ad.quot_dim):
@@ -316,6 +341,25 @@ def test_pair_in_general_mode():
     groups = [path_homology(g, n, relative_to=a) for n in range(4)]
     assert groups == [path_homology(g, n, relative_to=ordered) for n in range(4)]
     assert groups == [AbelianGroup(0), AbelianGroup(0), AbelianGroup(1), AbelianGroup(0)]
+
+
+def test_reordered_sub_of_a_box_power_gives_the_same_sequence():
+    # C4^□3 and the induced subdigraph off the last coordinate 3; listing
+    # the sub's vertices in reverse order makes degrees 2 and 3 non-unit
+    c4 = cycle_digraph(4)
+    g = box_product(box_product(c4, c4), c4)
+    vertices = [v for v in g.vertices if v[1] != 3]
+    arrows = [(u, v) for u, v in g.arrows if u[1] != 3 and v[1] != 3]
+    ordered = build_digraph(vertices, arrows)
+    reversed_ = build_digraph(vertices[::-1], arrows[::-1])
+    results = {}
+    for name, a in (("ordered", ordered), ("reversed", reversed_)):
+        omega = build_omega_pair(g, a, 4)
+        groups = [omega.homology(n) for n in range(4)]
+        results[name] = (groups, verify_exactness(omega.pair.les_maps(3)))
+        assert _non_unit_degrees(omega, 4) == ([] if a is ordered else [2, 3])
+    assert results["reversed"] == results["ordered"]
+    assert results["ordered"] == ([AbelianGroup(r) for r in (0, 1, 2, 1)], True)
 
 
 def test_group_map_inverse_roundtrip():

@@ -4,6 +4,8 @@ import pytest
 
 from digraph_homology.cli import build_parser, main
 from digraph_homology.digraphs import (
+    box_product,
+    build_digraph,
     cone,
     cycle_digraph,
     digraph_from_json,
@@ -113,6 +115,43 @@ def test_relative_homology(tmp_path, capsys, c4_file):
         )
         assert code == 0
         assert out.strip() == "H_2 = Z"
+
+
+def test_relative_path_output_does_not_depend_on_sub_vertex_order(tmp_path, capsys):
+    # C4□C4 and its induced subdigraph off the last coordinate 3: listed in
+    # reverse order, the sub's degree-2 basis is not a set of ambient basis
+    # vectors, listed in ambient order it is
+    g = box_product(cycle_digraph(4), cycle_digraph(4))
+    vertices = [v for v in g.vertices if v[1] != 3]
+    arrows = [(u, v) for u, v in g.arrows if u[1] != 3 and v[1] != 3]
+    g_file = tmp_path / "g.json"
+    g_file.write_text(json.dumps(digraph_to_json(g)))
+    outputs = []
+    for name, sub in (
+        ("ordered", build_digraph(vertices, arrows)),
+        ("reversed", build_digraph(vertices[::-1], arrows[::-1])),
+    ):
+        pair = {"ambient": digraph_to_json(g), "sub": digraph_to_json(sub)}
+        sub_file = tmp_path / f"{name}-sub.json"
+        sub_file.write_text(json.dumps(pair["sub"]))
+        pair_file = tmp_path / f"{name}-pair.json"
+        pair_file.write_text(json.dumps(pair))
+        runs = [
+            run_cli(capsys, "homology", g_file, "--dim", n, "--maxdim", 4, "--relative", sub_file)
+            for n in range(4)
+        ]
+        runs.append(
+            run_cli(capsys, "verify", "exactness", pair_file, "--theory", "path", "--maxdim", "3")
+        )
+        outputs.append([(code, out) for code, out, _ in runs])
+    assert outputs[0] == outputs[1]
+    assert [out.strip() for _, out in outputs[0]] == [
+        "H_0 = 0",
+        "H_1 = Z",
+        "H_2 = Z",
+        "H_3 = 0",
+        "PASS",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -323,6 +362,9 @@ def test_verify_certificate(tmp_path, capsys):
         [{"left": [["x"]]}],
         [{"left": [[]]}],
         [{"left": [[]], "right": [[1]]}],
+        [{"left": [[0, -1]]}],
+        [{"left": [[-1]]}],
+        [{"left": [[0, 1, 2, 3, 4, 5, 6, 7, 8]], "right": [[0, -1]]}],
     ],
     ids=[
         "number-step",
@@ -332,6 +374,9 @@ def test_verify_certificate(tmp_path, capsys):
         "text-table",
         "empty-table",
         "empty-and-full-table",
+        "table-ending-below-0",
+        "negative-table",
+        "full-and-negative-table",
     ],
 )
 def test_malformed_certificate_exit_code(tmp_path, capsys, document):

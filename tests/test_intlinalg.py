@@ -212,7 +212,7 @@ def test_kernel_echelon_matches_dense():
         basis = ech.basis_vectors()
         dense = kernel_lattice(m)
         assert len(basis) == dense.rank
-        got = Lattice.from_vectors(c, [Echelon.vector_as_list(v, c) for v in basis])
+        got = Lattice.from_vectors(c, [[v.get(i, 0) for i in range(c)] for v in basis])
         assert got.same_lattice(dense)
         # echelon: each vector's smallest index is its pivot, with a positive entry
         assert [min(v) for v in basis] == sorted(ech.pivots)
