@@ -1,10 +1,12 @@
 """Path and cubical homology of finite digraphs over the integers.
 
 Core objects: validated digraphs with products, cones and suspensions;
-exact integer linear algebra (Smith normal form, saturated lattices);
-the allowed-chain complex and path homology; singular cubical homology
-with the comparison map into path homology; grid maps with homotopy
-certificates and their induced homology classes.
+exact integer linear algebra (sparse echelon bases, saturated kernels and
+cokernels); the allowed-chain complex and path homology; singular cubical
+homology with the comparison map into path homology; grid maps with
+homotopy certificates and their induced homology classes.  The dense
+lattice and Smith-form references the tests check these against live in
+the test suite, not in the package.
 """
 
 from .digraphs import (
@@ -26,21 +28,13 @@ from .digraphs import (
     standard_line,
     suspension,
 )
-from .intlinalg import (
-    AbelianGroup,
-    IntMatrix,
-    Lattice,
-    kernel_lattice,
-    quotient_group,
-    smith_normal_form,
-)
+from .intlinalg import AbelianGroup, IntMatrix
 from .chains import (
     ChainComplex,
     ChainComplexPair,
     GroupMap,
     HomologyClass,
     homology_of,
-    les_connecting_map,
     verify_exactness,
 )
 from .paths import (  # noqa: E402
@@ -49,7 +43,6 @@ from .paths import (  # noqa: E402
     build_omega_complex,
     path_homology,
     path_suspension_map,
-    pushforward,
     regular_boundary,
     suspension_cycle,
 )

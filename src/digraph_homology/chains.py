@@ -644,11 +644,6 @@ def homology_of(c: ChainComplex, n: int) -> AbelianGroup:
     return c.homology(n).group
 
 
-def les_connecting_map(pair: ChainComplexPair, n: int) -> GroupMap:
-    """The long-exact-sequence connecting map H_n(quotient) -> H_{n-1}(sub)."""
-    return pair.connecting_map(n)
-
-
 class _DegreeAdapter:
     """Coordinate bridge for one degree of a complex pair.
 

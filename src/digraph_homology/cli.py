@@ -101,6 +101,12 @@ def _require_degree(dim: int, flag: str = "--dim") -> None:
         raise CliError(f"{flag} must be non-negative, got {dim}", EXIT_PARSE)
 
 
+def _require_chains(dim: int, maxdim: int) -> None:
+    """Degree dim reads the boundary from degree dim + 1, which --maxdim must allow."""
+    if dim + 1 > maxdim:
+        raise CliError(f"degree {dim} needs chains up to {dim + 1}; raise --maxdim", EXIT_BOUND)
+
+
 def cmd_homology(args) -> int:
     _require_degree(args.dim)
     g = _load_digraph(args.input)
@@ -109,11 +115,7 @@ def cmd_homology(args) -> int:
         rel = _load_entry(_load_json(args.relative), Path(args.relative).parent, "subdigraph")
         if not is_subdigraph(rel, g):
             raise CliError("the relative file is not a subdigraph of the input", EXIT_SUBDIGRAPH)
-    if args.dim + 1 > args.maxdim:
-        raise CliError(
-            f"degree {args.dim} needs chains up to {args.dim + 1}; raise --maxdim",
-            EXIT_BOUND,
-        )
+    _require_chains(args.dim, args.maxdim)
     try:
         if args.theory == "path":
             group = path_homology(g, args.dim, relative_to=rel, reduced=args.reduced)
@@ -211,8 +213,7 @@ def cmd_hurewicz(args) -> int:
 def cmd_compare(args) -> int:
     _require_degree(args.dim)
     g = _load_digraph(args.input)
-    if args.dim + 1 > args.maxdim:
-        raise CliError(f"degree {args.dim} exceeds --maxdim {args.maxdim}", EXIT_BOUND)
+    _require_chains(args.dim, args.maxdim)
     try:
         lmap = comparison_L(g, args.dim, dim_bound=args.maxdim)
     except BoundExceededError as exc:
@@ -258,7 +259,6 @@ def cmd_verify(args) -> int:
     if args.what == "exactness":
         if len(args.inputs) != 1:
             raise CliError("verify exactness needs one PAIR.json input", EXIT_PARSE)
-        _require_degree(args.maxdim, "--maxdim")
         data = _load_json(args.inputs[0])
         if not isinstance(data, dict) or "ambient" not in data or "sub" not in data:
             raise CliError("bad pair file: it needs 'ambient' and 'sub'", EXIT_PARSE)
@@ -355,6 +355,8 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "maxdim" in args:
+            _require_degree(args.maxdim, "--maxdim")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -143,17 +143,6 @@ class SingularCube:
     def corner(self, x: tuple[int, ...]):
         return self.values[corner_index(x)]
 
-    def is_valid(self) -> bool:
-        g = self.target
-        for v in self.values:
-            if not g.has_vertex(v):
-                return False
-        for low, high in _tables(self.dim).axes:
-            for a, b in zip(low(self.values), high(self.values)):
-                if a != b and not g.has_arrow(a, b):
-                    return False
-        return True
-
     def __repr__(self):
         return f"Cube{self.dim}{self.values!r}"
 
@@ -270,6 +259,7 @@ def _level(g: Digraph, below: Optional[_Level], keep: bool = True) -> _Level:
 def enumerate_cubes(
     g: Digraph,
     n: int,
+    *,
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
 ) -> list[SingularCube]:
@@ -304,6 +294,7 @@ class CubicalComplex(DigraphComplex):
     def grow(
         self,
         maxdim: int,
+        *,
         dim_bound: int = DEFAULT_DIM_BOUND,
         vertex_bound: int = DEFAULT_VERTEX_BOUND,
     ) -> "CubicalComplex":
@@ -376,12 +367,13 @@ _cubical_complex = lru_cache(maxsize=64)(CubicalComplex)
 def build_cubical_complex(
     g: Digraph,
     maxdim: int,
+    reduced: bool = False,
+    *,
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
-    reduced: bool = False,
 ) -> CubicalComplex:
     """The complex of g (one per digraph, cached) grown to maxdim, or its reduced view."""
-    cc = _cubical_complex(g).grow(maxdim, dim_bound, vertex_bound)
+    cc = _cubical_complex(g).grow(maxdim, dim_bound=dim_bound, vertex_bound=vertex_bound)
     return cc.reduced if reduced else cc
 
 
@@ -393,17 +385,19 @@ def cubical_homology(
     g: Digraph,
     n: int,
     relative_to: Optional[Digraph] = None,
+    reduced: bool = False,
+    *,
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
-    reduced: bool = False,
 ) -> AbelianGroup:
     """Cubical homology of g (or of the pair (g, relative_to)) at degree n;
     requires n + 1 <= dim_bound so the image boundary is available."""
     if n + 1 > dim_bound:
         raise BoundExceededError(f"degree {n} needs dimension {n + 1} > bound {dim_bound}")
+    bounds = {"dim_bound": dim_bound, "vertex_bound": vertex_bound}
     if relative_to is None:
-        return build_cubical_complex(g, n + 1, dim_bound, vertex_bound, reduced).homology(n)
-    return build_cubical_pair(g, relative_to, n + 1, dim_bound, vertex_bound, reduced).homology(n)
+        return build_cubical_complex(g, n + 1, reduced, **bounds).homology(n)
+    return build_cubical_pair(g, relative_to, n + 1, reduced, **bounds).homology(n)
 
 
 @lru_cache(maxsize=64)
@@ -415,37 +409,21 @@ def build_cubical_pair(
     g: Digraph,
     a: Digraph,
     maxdim: int,
+    reduced: bool = False,
+    *,
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
-    reduced: bool = False,
 ) -> DigraphPair:
     """The pair (g, a) (one per pair, cached) grown to maxdim, or its reduced view."""
     pair = _cubical_pair(g, a)
-    pair.ambient.grow(maxdim, dim_bound, vertex_bound)
-    pair.sub.grow(maxdim, dim_bound, vertex_bound)
+    pair.ambient.grow(maxdim, dim_bound=dim_bound, vertex_bound=vertex_bound)
+    pair.sub.grow(maxdim, dim_bound=dim_bound, vertex_bound=vertex_bound)
     pair.pair.grow(maxdim)
     return pair.reduced if reduced else pair
 
 
 build_cubical_pair.cache_info = _cubical_pair.cache_info
 build_cubical_pair.cache_clear = _cubical_pair.cache_clear
-
-
-def connecting_face_formula(pair: DigraphPair, n: int) -> GroupMap:
-    """The connecting map H^c_{n+1}(G, A) -> H^c_n(A) computed directly
-    from the face maps: lift a relative cycle to its cube chain, apply the
-    full alternating face sum, drop degenerate faces, and read the result
-    in the subcomplex.  (The face sum must run over every axis of the
-    lifted cubes; a shorter sum does not even land in the subcomplex.)
-    """
-    hd_quot = pair.pair.quotient.homology(n + 1)
-    hd_sub = pair.pair.sub.homology(n)
-    images = []
-    for j in range(hd_quot.n_generators):
-        amb_vec = pair.pair.quotient_section(n + 1, hd_quot.representative(j))
-        chain = pair.ambient.coords_to_chain(n + 1, amb_vec)
-        images.append(pair.sub.chain_vector(cubical_boundary(chain))[1])
-    return hom_map(hd_quot, hd_sub, images)
 
 
 # --- comparison with path homology ------------------------------------------
@@ -502,14 +480,15 @@ def iota_values(n: int, terms: dict[tuple, int]) -> PathChain:
 def comparison_L(
     g: Digraph,
     n: int,
+    reduced: bool = False,
+    *,
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
-    reduced: bool = False,
 ) -> GroupMap:
     """Matrix of the comparison homomorphism from cubical to path homology
     at degree n, on the chosen generator bases.  The reduced variant (only
     meaningful at n = 0) compares the two augmented theories."""
-    cc = build_cubical_complex(g, n + 1, dim_bound, vertex_bound, reduced)
+    cc = build_cubical_complex(g, n + 1, reduced, dim_bound=dim_bound, vertex_bound=vertex_bound)
     oc = build_omega_complex(g, n + 1, reduced)
     hd_c = cc.complex.homology(n)
     hd_p = oc.complex.homology(n)
@@ -562,17 +541,18 @@ def cubical_suspension_cycle(
 def cubical_suspension_map(
     x: Digraph,
     n: int,
-    dim_bound: int = DEFAULT_DIM_BOUND,
-    vertex_bound: int = DEFAULT_VERTEX_BOUND,
     apex_a="+a",
     apex_b="+b",
+    *,
+    dim_bound: int = DEFAULT_DIM_BOUND,
+    vertex_bound: int = DEFAULT_VERTEX_BOUND,
 ) -> GroupMap:
     """The cubical suspension homomorphism H^c_n(x) -> H^c_{n+1}(suspension)
     (reduced at n = 0) by `chains.suspension_map`: the class of the cycle
     C_b z - C_a z of each generator z, since d(C_p s) = -s - C_p(ds) modulo
     degenerate cubes.  The bounds are checked on the suspension first."""
     sx = suspension(x, apex_a, apex_b)
-    csx = build_cubical_complex(sx, n + 2, dim_bound, vertex_bound)
-    cx = build_cubical_complex(x, n + 1, dim_bound, vertex_bound)
+    csx = build_cubical_complex(sx, n + 2, dim_bound=dim_bound, vertex_bound=vertex_bound)
+    cx = build_cubical_complex(x, n + 1, dim_bound=dim_bound, vertex_bound=vertex_bound)
     suspend = partial(_suspend, target=sx, apex_a=apex_a, apex_b=apex_b)
     return suspension_map(cx, csx, n, suspend)

@@ -787,6 +787,7 @@ def _cell_table(axes: tuple[LineSpec, ...]) -> tuple[tuple[int, ...], tuple[int,
 
 def hurewicz_class(
     f: GridMap,
+    *,
     dim_bound: int = DEFAULT_DIM_BOUND,
     vertex_bound: int = DEFAULT_VERTEX_BOUND,
 ) -> HomologyClass:
@@ -795,10 +796,11 @@ def hurewicz_class(
     require_valid(f)
     n = f.dims
     cells = _cells(f)
+    bounds = {"dim_bound": dim_bound, "vertex_bound": vertex_bound}
     if f.mode == "triple":
-        pair = build_cubical_pair(f.target, f.sub, n + 1, dim_bound, vertex_bound)
+        pair = build_cubical_pair(f.target, f.sub, n + 1, **bounds)
         return pair.pair.quotient_class(n, pair.ambient.values_coords(n, cells))
-    cc = build_cubical_complex(f.target, n + 1, dim_bound, vertex_bound)
+    cc = build_cubical_complex(f.target, n + 1, **bounds)
     return cc.complex.class_of(n, cc.values_coords(n, cells))
 
 

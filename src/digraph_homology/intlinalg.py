@@ -1,18 +1,19 @@
 """Exact integer linear algebra.
 
-Smith normal form with unimodular transforms, saturated kernel lattices,
-integer lattices with exact membership tests, and finitely generated
-abelian group presentations.  Everything runs on arbitrary-precision
-Python integers; no floating point is used anywhere.
+Dense integer matrices, the dense Smith form with unimodular transforms
+(`_snf_full`), and finitely generated abelian group presentations.
+Everything runs on arbitrary-precision Python integers; no floating point
+is used anywhere.
 
 Vectors of the large matrices are sparse dicts.  `Echelon` is the one
 elimination loop for lattices: it spans images, and the `extended_echelon`
 of a column list gives kernels (`kernel_echelon`) and solutions
 (`Echelon.preimage`).  `Cokernel` presents Z^k / (relations) by
 eliminating unit pivots sparsely: homology groups and the quotients of
-complex pairs.  The dense `_snf_full` is the one Smith-form engine; in
-the program it sees only the non-unit residual block a `Cokernel` leaves,
-and the dense test oracles (`Lattice`, `quotient_group`, ...) run on it.
+complex pairs.  `_snf_full` sees only the non-unit residual block a
+`Cokernel` leaves.  The dense lattice references the tests check these
+against (`Lattice`, `kernel_lattice`, `quotient_group`,
+`smith_normal_form`, `integer_solve`) are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -94,9 +95,6 @@ class IntMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix([self.column(j) for j in range(self.cols)], cols=self.rows)
 
@@ -114,23 +112,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.data], cols=self.cols)
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * a for a in row] for row in self.data], cols=self.cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -315,123 +296,6 @@ def _snf_full(mat: IntMatrix) -> SmithDecomposition:
     )
 
 
-def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U @ mat @ V == D, U and V unimodular,
-    D diagonal with a divisibility chain d1 | d2 | ... on the diagonal.
-
-    >>> u, d, v = smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
-    >>> [d.data[0][0], d.data[1][1]]
-    [1, 6]
-    """
-    s = _snf_full(mat)
-    return s.U, s.D, s.V
-
-
-def integer_solve(mat: IntMatrix, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """One integer solution x of mat @ x == vec, or None if none exists."""
-    s = _snf_full(mat)
-    return _solve_from_snf(s, vec)
-
-
-def _solve_from_snf(s: SmithDecomposition, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-    r, c = s.D.shape
-    if len(vec) != r:
-        raise ValueError("vector length mismatch")
-    w = s.U.apply(vec)
-    rank = s.rank
-    y = [0] * c
-    for i in range(r):
-        if i < rank:
-            d = s.D.data[i][i]
-            if w[i] % d:
-                return None
-            if i < c:
-                y[i] = w[i] // d
-        elif w[i]:
-            return None
-    return s.V.apply(y)
-
-
-class Lattice:
-    """Integer lattice given by an independent column basis inside Z^ambient.
-
-    `basis` columns are required to be linearly independent.  Use
-    `from_vectors` to build from a redundant spanning set.
-    """
-
-    def __init__(self, ambient: int, basis: IntMatrix, _checked: bool = False):
-        if basis.rows != ambient:
-            raise ValueError("basis rows must equal ambient dimension")
-        self.ambient = ambient
-        self.basis = basis
-        self._snf: Optional[SmithDecomposition] = None
-        if not _checked and basis.cols:
-            if self._decomposition().rank != basis.cols:
-                raise ValueError("basis columns are linearly dependent")
-
-    @staticmethod
-    def from_vectors(ambient: int, vectors: Iterable[Sequence[int]]) -> "Lattice":
-        ech = Echelon()
-        for vec in vectors:
-            ech.add({i: x for i, x in enumerate(vec) if x})
-        cols = [[v.get(i, 0) for i in range(ambient)] for v in ech.basis_vectors()]
-        return Lattice(ambient, IntMatrix.from_cols(cols, rows=ambient), _checked=True)
-
-    def _decomposition(self) -> SmithDecomposition:
-        if self._snf is None:
-            self._snf = _snf_full(self.basis)
-        return self._snf
-
-    @property
-    def rank(self) -> int:
-        return self.basis.cols
-
-    def coordinates(self, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """Coordinates of vec in the basis, or None if vec is not in the lattice."""
-        if self.basis.cols == 0:
-            return () if all(x == 0 for x in vec) else None
-        return _solve_from_snf(self._decomposition(), vec)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return self.coordinates(vec) is not None
-
-    def contains_lattice(self, other: "Lattice") -> bool:
-        if other.ambient != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return all(self.contains(other.basis.column(j)) for j in range(other.basis.cols))
-
-    def same_lattice(self, other: "Lattice") -> bool:
-        return self.contains_lattice(other) and other.contains_lattice(self)
-
-    def is_saturated(self) -> bool:
-        """True iff Z^ambient / lattice is torsion-free."""
-        if self.basis.cols == 0:
-            return True
-        return all(d == 1 for d in self._decomposition().divisors)
-
-    def saturation(self) -> "Lattice":
-        """The smallest saturated lattice containing this one."""
-        if self.is_saturated():
-            return self
-        s = self._decomposition()
-        cols = [s.Uinv.column(i) for i in range(s.rank)]
-        return Lattice(self.ambient, IntMatrix.from_cols(cols, rows=self.ambient), _checked=True)
-
-    def __repr__(self):
-        return f"Lattice(ambient={self.ambient}, rank={self.rank})"
-
-
-def kernel_lattice(mat: IntMatrix) -> Lattice:
-    """The saturated lattice {x in Z^cols : mat @ x == 0}.
-
-    >>> kernel_lattice(IntMatrix([[2, -2]])).basis.columns()
-    [(1, 1)]
-    """
-    s = _snf_full(mat)
-    cols = [s.V.column(j) for j in range(s.rank, mat.cols)]
-    return Lattice(mat.cols, IntMatrix.from_cols(cols, rows=mat.cols), _checked=True)
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """Finitely generated abelian group: Z^rank + Z/d1 + ... with d1 | d2 | ...
@@ -473,29 +337,6 @@ class AbelianGroup:
 
     def to_json(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}
-
-
-def quotient_group(outer: Lattice, inner: Lattice) -> AbelianGroup:
-    """Presentation of outer/inner; raises NotASublatticeError if inner ⊄ outer.
-
-    >>> K = Lattice(2, IntMatrix([[1, 0], [1, 3]]))
-    >>> I = Lattice(2, IntMatrix([[3], [3]]))
-    >>> print(quotient_group(K, I))
-    Z ⊕ Z/3
-    """
-    if outer.ambient != inner.ambient:
-        raise NotASublatticeError("ambient dimension mismatch")
-    coords = []
-    for j in range(inner.basis.cols):
-        x = outer.coordinates(inner.basis.column(j))
-        if x is None:
-            raise NotASublatticeError("generator of inner lattice is not in outer lattice")
-        coords.append(x)
-    k = outer.rank
-    rel = IntMatrix.from_cols(coords, rows=k)
-    divisors = _snf_full(rel).divisors
-    torsion = tuple(d for d in divisors if d > 1)
-    return AbelianGroup(k - len(divisors), torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -784,16 +625,3 @@ class Cokernel:
             out[pos] = x
         return tuple(w % d if d else w for w, d in zip(out, self._divisors))
 
-
-def random_unimodular(rng, n: int, steps: int = 12) -> IntMatrix:
-    """Random unimodular matrix built from elementary row operations."""
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        q = rng.choice([-2, -1, 1, 2])
-        for k in range(n):
-            m[i][k] += q * m[j][k]
-    return IntMatrix(m, cols=n)

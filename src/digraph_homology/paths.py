@@ -21,12 +21,8 @@ from .chains import (
     NotACycleError,
     suspension_map,
 )
-from .digraphs import Digraph, DigraphMap, check_digraph_map, suspension
+from .digraphs import Digraph, suspension
 from .intlinalg import AbelianGroup, Echelon, kernel_echelon
-
-
-class InvalidMappingError(ValueError):
-    pass
 
 
 class PathChain(Chain):
@@ -263,18 +259,6 @@ def path_homology(
     if relative_to is None:
         return build_omega_complex(g, n + 1, reduced).homology(n)
     return build_omega_pair(g, relative_to, n + 1, reduced).homology(n)
-
-
-def pushforward(f: DigraphMap, chain: PathChain) -> PathChain:
-    """Chain map induced by a digraph map; non-regular images vanish."""
-    if not check_digraph_map(f):
-        raise InvalidMappingError("not a digraph map")
-    terms: dict[tuple, int] = {}
-    for path, coeff in chain.terms.items():
-        image = tuple(f(v) for v in path)
-        if is_regular(image):
-            terms[image] = terms.get(image, 0) + coeff
-    return PathChain(chain.degree, terms)
 
 
 def append_vertex(chain: PathChain, v) -> PathChain:

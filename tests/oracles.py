@@ -1,0 +1,228 @@
+"""Independent reference implementations that the tests check the program against.
+
+Dense integer lattices on the full Smith form with transforms (`Lattice`,
+`kernel_lattice`, `quotient_group`, `smith_normal_form`, `integer_solve`),
+random unimodular matrices, the chain map of a digraph map on path chains
+(`pushforward`), the cubical connecting map read straight off the face maps
+(`connecting_face_formula`), and the validity test of a singular cube
+(`is_valid`).  None of these runs in the program; they share only the dense
+`_snf_full` and the data types with it.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional, Sequence
+
+from digraph_homology.chains import DigraphPair, GroupMap, hom_map
+from digraph_homology.cubes import SingularCube, _tables, cubical_boundary
+from digraph_homology.digraphs import DigraphMap, check_digraph_map
+from digraph_homology.intlinalg import (
+    AbelianGroup,
+    Echelon,
+    IntMatrix,
+    NotASublatticeError,
+    SmithDecomposition,
+    _snf_full,
+)
+from digraph_homology.paths import PathChain, is_regular
+
+
+def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, D, V) with U @ mat @ V == D, U and V unimodular,
+    D diagonal with a divisibility chain d1 | d2 | ... on the diagonal.
+
+    >>> u, d, v = smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
+    >>> [d.data[0][0], d.data[1][1]]
+    [1, 6]
+    """
+    s = _snf_full(mat)
+    return s.U, s.D, s.V
+
+
+def integer_solve(mat: IntMatrix, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """One integer solution x of mat @ x == vec, or None if none exists."""
+    s = _snf_full(mat)
+    return _solve_from_snf(s, vec)
+
+
+def _solve_from_snf(s: SmithDecomposition, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+    r, c = s.D.shape
+    if len(vec) != r:
+        raise ValueError("vector length mismatch")
+    w = s.U.apply(vec)
+    rank = s.rank
+    y = [0] * c
+    for i in range(r):
+        if i < rank:
+            d = s.D.data[i][i]
+            if w[i] % d:
+                return None
+            if i < c:
+                y[i] = w[i] // d
+        elif w[i]:
+            return None
+    return s.V.apply(y)
+
+
+class Lattice:
+    """Integer lattice given by an independent column basis inside Z^ambient.
+
+    `basis` columns are required to be linearly independent.  Use
+    `from_vectors` to build from a redundant spanning set.
+    """
+
+    def __init__(self, ambient: int, basis: IntMatrix, _checked: bool = False):
+        if basis.rows != ambient:
+            raise ValueError("basis rows must equal ambient dimension")
+        self.ambient = ambient
+        self.basis = basis
+        self._snf: Optional[SmithDecomposition] = None
+        if not _checked and basis.cols:
+            if self._decomposition().rank != basis.cols:
+                raise ValueError("basis columns are linearly dependent")
+
+    @staticmethod
+    def from_vectors(ambient: int, vectors: Iterable[Sequence[int]]) -> "Lattice":
+        ech = Echelon()
+        for vec in vectors:
+            ech.add({i: x for i, x in enumerate(vec) if x})
+        cols = [[v.get(i, 0) for i in range(ambient)] for v in ech.basis_vectors()]
+        return Lattice(ambient, IntMatrix.from_cols(cols, rows=ambient), _checked=True)
+
+    def _decomposition(self) -> SmithDecomposition:
+        if self._snf is None:
+            self._snf = _snf_full(self.basis)
+        return self._snf
+
+    @property
+    def rank(self) -> int:
+        return self.basis.cols
+
+    def coordinates(self, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """Coordinates of vec in the basis, or None if vec is not in the lattice."""
+        if self.basis.cols == 0:
+            return () if all(x == 0 for x in vec) else None
+        return _solve_from_snf(self._decomposition(), vec)
+
+    def contains(self, vec: Sequence[int]) -> bool:
+        return self.coordinates(vec) is not None
+
+    def contains_lattice(self, other: "Lattice") -> bool:
+        if other.ambient != self.ambient:
+            raise ValueError("ambient dimension mismatch")
+        return all(self.contains(other.basis.column(j)) for j in range(other.basis.cols))
+
+    def same_lattice(self, other: "Lattice") -> bool:
+        return self.contains_lattice(other) and other.contains_lattice(self)
+
+    def is_saturated(self) -> bool:
+        """True iff Z^ambient / lattice is torsion-free."""
+        if self.basis.cols == 0:
+            return True
+        return all(d == 1 for d in self._decomposition().divisors)
+
+    def saturation(self) -> "Lattice":
+        """The smallest saturated lattice containing this one."""
+        if self.is_saturated():
+            return self
+        s = self._decomposition()
+        cols = [s.Uinv.column(i) for i in range(s.rank)]
+        return Lattice(self.ambient, IntMatrix.from_cols(cols, rows=self.ambient), _checked=True)
+
+    def __repr__(self):
+        return f"Lattice(ambient={self.ambient}, rank={self.rank})"
+
+
+def kernel_lattice(mat: IntMatrix) -> Lattice:
+    """The saturated lattice {x in Z^cols : mat @ x == 0}.
+
+    >>> kernel_lattice(IntMatrix([[2, -2]])).basis.columns()
+    [(1, 1)]
+    """
+    s = _snf_full(mat)
+    cols = [s.V.column(j) for j in range(s.rank, mat.cols)]
+    return Lattice(mat.cols, IntMatrix.from_cols(cols, rows=mat.cols), _checked=True)
+
+
+def quotient_group(outer: Lattice, inner: Lattice) -> AbelianGroup:
+    """Presentation of outer/inner; raises NotASublatticeError if inner ⊄ outer.
+
+    >>> K = Lattice(2, IntMatrix([[1, 0], [1, 3]]))
+    >>> I = Lattice(2, IntMatrix([[3], [3]]))
+    >>> print(quotient_group(K, I))
+    Z ⊕ Z/3
+    """
+    if outer.ambient != inner.ambient:
+        raise NotASublatticeError("ambient dimension mismatch")
+    coords = []
+    for j in range(inner.basis.cols):
+        x = outer.coordinates(inner.basis.column(j))
+        if x is None:
+            raise NotASublatticeError("generator of inner lattice is not in outer lattice")
+        coords.append(x)
+    k = outer.rank
+    rel = IntMatrix.from_cols(coords, rows=k)
+    divisors = _snf_full(rel).divisors
+    torsion = tuple(d for d in divisors if d > 1)
+    return AbelianGroup(k - len(divisors), torsion)
+
+
+def random_unimodular(rng, n: int, steps: int = 12) -> IntMatrix:
+    """Random unimodular matrix built from elementary row operations."""
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        q = rng.choice([-2, -1, 1, 2])
+        for k in range(n):
+            m[i][k] += q * m[j][k]
+    return IntMatrix(m, cols=n)
+
+
+class InvalidMappingError(ValueError):
+    pass
+
+
+def pushforward(f: DigraphMap, chain: PathChain) -> PathChain:
+    """Chain map induced by a digraph map; non-regular images vanish."""
+    if not check_digraph_map(f):
+        raise InvalidMappingError("not a digraph map")
+    terms: dict[tuple, int] = {}
+    for path, coeff in chain.terms.items():
+        image = tuple(f(v) for v in path)
+        if is_regular(image):
+            terms[image] = terms.get(image, 0) + coeff
+    return PathChain(chain.degree, terms)
+
+
+def connecting_face_formula(pair: DigraphPair, n: int) -> GroupMap:
+    """The connecting map H^c_{n+1}(G, A) -> H^c_n(A) computed directly
+    from the face maps: lift a relative cycle to its cube chain, apply the
+    full alternating face sum, drop degenerate faces, and read the result
+    in the subcomplex.  (The face sum must run over every axis of the
+    lifted cubes; a shorter sum does not even land in the subcomplex.)
+    """
+    hd_quot = pair.pair.quotient.homology(n + 1)
+    hd_sub = pair.pair.sub.homology(n)
+    images = []
+    for j in range(hd_quot.n_generators):
+        amb_vec = pair.pair.quotient_section(n + 1, hd_quot.representative(j))
+        chain = pair.ambient.coords_to_chain(n + 1, amb_vec)
+        images.append(pair.sub.chain_vector(cubical_boundary(chain))[1])
+    return hom_map(hd_quot, hd_sub, images)
+
+
+def is_valid(cube: SingularCube) -> bool:
+    """True iff every value is a vertex of the cube's target and every edge
+    of the cube maps to a vertex or an arrow."""
+    g = cube.target
+    for v in cube.values:
+        if not g.has_vertex(v):
+            return False
+    for low, high in _tables(cube.dim).axes:
+        for a, b in zip(low(cube.values), high(cube.values)):
+            if a != b and not g.has_arrow(a, b):
+                return False
+    return True

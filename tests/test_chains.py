@@ -15,7 +15,6 @@ from digraph_homology.chains import (
     GroupMap,
     HomologyClass,
     homology_of,
-    les_connecting_map,
     suspension_composite,
     verify_exactness,
 )
@@ -28,7 +27,6 @@ from digraph_homology.intlinalg import (
     NotASublatticeError,
     _snf_full,
     kernel_echelon,
-    random_unimodular,
     vec_addmul,
 )
 from digraph_homology.paths import (
@@ -38,6 +36,7 @@ from digraph_homology.paths import (
     path_suspension_map,
 )
 from digraph_homology.randomgen import random_digraph
+from oracles import Lattice, quotient_group, random_unimodular
 
 
 def two_step(matrix_entries):
@@ -128,7 +127,7 @@ def test_verify_exactness_examples():
 def test_pair_connecting_map_examples():
     c4 = cycle_digraph(4)
     pair = build_omega_pair(cone(c4, "+a"), c4, 3)
-    xi = les_connecting_map(pair.pair, 2)
+    xi = pair.pair.connecting_map(2)
     # the cone is contractible, so the connecting map onto H_1 is an iso
     assert xi.source == AbelianGroup(1)
     assert xi.target == AbelianGroup(1)
@@ -136,14 +135,14 @@ def test_pair_connecting_map_examples():
 
     # sub == ambient: the quotient is zero and so is the connecting map
     same = build_omega_pair(c4, c4, 3)
-    xi0 = les_connecting_map(same.pair, 2)
+    xi0 = same.pair.connecting_map(2)
     assert xi0.source == AbelianGroup(0)
 
     # suspension against one cone: H_2 of the pair maps to H_1(cone) = 0,
     # and the quotient map from H_2 of the suspension is an iso
     sx = suspension(c4, "+a", "+b")
     pair2 = build_omega_pair(sx, cone(c4, "+b"), 3)
-    xi2 = les_connecting_map(pair2.pair, 2)
+    xi2 = pair2.pair.connecting_map(2)
     assert xi2.source == AbelianGroup(1) and xi2.target == AbelianGroup(0)
     q2 = pair2.pair.quotient_map(2)
     assert q2.inverse() is not None
@@ -174,8 +173,6 @@ def test_les_maps_of_cone_pair_are_exact():
 def test_homology_matches_direct_quotient_oracle():
     # with zero lower boundary, homology is literally Z^m / column span,
     # which quotient_group computes independently of the chain pipeline
-    from digraph_homology.intlinalg import Lattice, quotient_group
-
     rng = random.Random(37)
     for _ in range(25):
         m = rng.randint(1, 4)

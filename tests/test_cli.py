@@ -450,6 +450,27 @@ def test_verify_exactness_negative_maxdim_exit_code(capsys, cone_pair_file):
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_every_subcommand_checks_maxdim_alike(tmp_path, capsys, c4_file, cone_pair_file):
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps(grid_map_to_json(winding_json())))
+    commands = [
+        ("homology", c4_file, "--dim", "1"),
+        ("hurewicz", loop),
+        ("compare", c4_file, "--dim", "1"),
+        ("verify", "exactness", cone_pair_file),
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv, "--maxdim", "-3")
+        assert (code, out) == (2, ""), argv
+        assert err == "error: --maxdim must be non-negative, got -3\n"
+    # degree 1 reads chains up to degree 2, in both subcommands that take a degree
+    for command in ("homology", "compare"):
+        code, out, err = run_cli(capsys, command, c4_file, "--dim", "1", "--maxdim", "1")
+        assert (code, out) == (3, "")
+        assert err == "error: degree 1 needs chains up to 2; raise --maxdim\n"
+        assert run_cli(capsys, command, c4_file, "--dim", "1", "--maxdim", "2")[0] == 0
+
+
 def test_verify_exactness_bound_exceeded(tmp_path, capsys):
     # the cone of a 12-cycle has 13 vertices, over the cubical vertex bound
     c12 = relabel_to_strings(cycle_digraph(12))

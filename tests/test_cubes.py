@@ -16,7 +16,6 @@ from digraph_homology.cubes import (
     build_cubical_complex,
     build_cubical_pair,
     comparison_L,
-    connecting_face_formula,
     cube_corners,
     cubical_boundary,
     cubical_homology,
@@ -44,9 +43,11 @@ from digraph_homology.paths import (
     build_omega_complex,
     build_omega_pair,
     path_homology,
+    path_suspension_map,
     regular_boundary,
 )
 from digraph_homology.randomgen import random_digraph
+from oracles import connecting_face_formula, is_valid
 
 
 def brute_force_cubes(g, n):
@@ -297,7 +298,7 @@ def test_index_tables_match_per_corner_definitions():
             cubes = enumerate_cubes(g, n)
             assert cubes == reference_cubes(g, n)
             for c in cubes:
-                assert c.is_valid()
+                assert is_valid(c)
                 assert is_degenerate(c) == reference_is_degenerate(c)
                 assert iota(c) == reference_iota(c)
                 for i in range(1, n + 1):
@@ -314,7 +315,7 @@ def test_is_valid_against_brute_force():
         for n in (0, 1, 2):
             valid = set(brute_force_cubes(g, n))
             for vals in product(g.vertices, repeat=2**n):
-                assert SingularCube(n, vals, g).is_valid() == (vals in valid)
+                assert is_valid(SingularCube(n, vals, g)) == (vals in valid)
 
 
 def test_cubical_complex_matches_per_corner_reference():
@@ -376,8 +377,8 @@ def test_face_composition_matches_the_reference_to_degree_4():
             cols[0] = [{0: 1} if reduced else {} for _ in bases[0]]
             build_cubical_complex.cache_clear()
             for n in range(5):  # one degree at a time: each grow rebuilds the last one's tables
-                one_by_one = build_cubical_complex(g, n, 4, reduced=reduced)
-            at_once = CubicalComplex(g).grow(4, 4)
+                one_by_one = build_cubical_complex(g, n, dim_bound=4, reduced=reduced)
+            at_once = CubicalComplex(g).grow(4, dim_bound=4)
             for cc in (one_by_one, at_once.reduced if reduced else at_once):
                 for n in range(5):
                     assert cc.basis[n] == [c.values for c in bases[n]]
@@ -561,6 +562,22 @@ def test_top_degree_homology_builds_the_degree_above():
         builder.cache_clear()
         assert builder(t, 1).complex.homology(1).group == AbelianGroup(0)
     assert path_homology(t, 1) == cubical_homology(t, 1) == AbelianGroup(0)
+
+
+def test_both_theories_take_the_same_positional_arguments():
+    # the cubical bounds are keyword-only, so positional apexes stay apexes
+    c4 = cycle_digraph(4)
+    for x in (c4, suspension(c4)):
+        for n in (0, 1):
+            for e in (path_suspension_map, cubical_suspension_map):
+                assert e(x, n, "n", "s") == e(x, n, apex_a="n", apex_b="s"), (e, n)
+    for homology in (path_homology, cubical_homology):
+        assert homology(c4, 0, None, True) == AbelianGroup(0)
+        assert homology(cone(c4, "+a"), 1, c4, True) == AbelianGroup(0)
+    for builder in (build_omega_complex, build_cubical_complex):
+        assert builder(c4, 2, True) is builder(c4, 2).reduced
+    for builder in (build_omega_pair, build_cubical_pair):
+        assert builder(cone(c4, "+a"), c4, 2, True) is builder(cone(c4, "+a"), c4, 2).reduced
 
 
 def test_a_warm_cache_never_bypasses_a_bound(tmp_path):

@@ -9,16 +9,18 @@ from digraph_homology.intlinalg import (
     Cokernel,
     Echelon,
     IntMatrix,
-    Lattice,
     NotASublatticeError,
     _snf_full,
-    integer_solve,
     kernel_echelon,
+    xgcd,
+)
+from oracles import (
+    Lattice,
+    integer_solve,
     kernel_lattice,
     quotient_group,
-    smith_normal_form,
     random_unimodular,
-    xgcd,
+    smith_normal_form,
 )
 
 small_matrices = st.integers(0, 4).flatmap(

@@ -16,7 +16,6 @@ from digraph_homology.digraphs import (
 )
 from digraph_homology.intlinalg import AbelianGroup, Echelon
 from digraph_homology.paths import (
-    InvalidMappingError,
     PathChain,
     _boundary_faces,
     allowed_paths,
@@ -24,11 +23,11 @@ from digraph_homology.paths import (
     build_omega_pair,
     path_homology,
     is_regular,
-    pushforward,
     regular_boundary,
     suspension_cycle,
 )
 from digraph_homology.randomgen import random_digraph
+from oracles import InvalidMappingError, pushforward
 
 
 def triangle():
