@@ -58,6 +58,9 @@ EXIT_BOUND = 3
 EXIT_SUBDIGRAPH = 4
 EXIT_GRIDMAP = 5
 
+HOMOLOGY = {"path": path_homology, "cubical": cubical_homology}
+PAIR_BUILDERS = {"path": build_omega_pair, "cubical": build_cubical_pair}
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -117,12 +120,7 @@ def cmd_homology(args) -> int:
             raise CliError("the relative file is not a subdigraph of the input", EXIT_SUBDIGRAPH)
     _require_chains(args.dim, args.maxdim)
     try:
-        if args.theory == "path":
-            group = path_homology(g, args.dim, relative_to=rel, reduced=args.reduced)
-        else:
-            group = cubical_homology(
-                g, args.dim, relative_to=rel, dim_bound=args.maxdim, reduced=args.reduced
-            )
+        group = HOMOLOGY[args.theory](g, args.dim, rel, args.reduced)
     except BoundExceededError as exc:
         raise CliError(str(exc), EXIT_BOUND)
     except NotASubdigraphError as exc:
@@ -187,7 +185,7 @@ def cmd_hurewicz(args) -> int:
     if args.relative and f.mode != "triple":
         raise CliError("--relative requires a triple-mode grid map", EXIT_GRIDMAP)
     try:
-        cubical = hurewicz_class(f, dim_bound=max(args.maxdim, f.dims + 1))
+        cubical = hurewicz_class(f)
         glmy = glmy_hurewicz(f)
     except BoundExceededError as exc:
         raise CliError(str(exc), EXIT_BOUND)
@@ -215,7 +213,7 @@ def cmd_compare(args) -> int:
     g = _load_digraph(args.input)
     _require_chains(args.dim, args.maxdim)
     try:
-        lmap = comparison_L(g, args.dim, dim_bound=args.maxdim)
+        lmap = comparison_L(g, args.dim)
     except BoundExceededError as exc:
         raise CliError(str(exc), EXIT_BOUND)
     if args.json:
@@ -267,15 +265,11 @@ def cmd_verify(args) -> int:
         sub = _load_entry(data["sub"], base_dir, "subdigraph")
         if not is_subdigraph(sub, ambient):
             raise CliError("'sub' is not a subdigraph of 'ambient'", EXIT_SUBDIGRAPH)
-        top = args.maxdim + 1
         try:
-            if args.theory == "path":
-                pair = build_omega_pair(ambient, sub, top)
-            else:
-                pair = build_cubical_pair(ambient, sub, top, dim_bound=top)
+            pair = PAIR_BUILDERS[args.theory](ambient, sub, args.maxdim + 1)
+            ok = verify_exactness(pair.pair.les_maps(args.maxdim))
         except BoundExceededError as exc:
             raise CliError(str(exc), EXIT_BOUND)
-        ok = verify_exactness(pair.pair.les_maps(args.maxdim))
         print("PASS" if ok else "FAIL")
         return 0 if ok else EXIT_VERIFY_FAILED
 
@@ -330,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", help="output file (default: stdout)")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("hurewicz", parents=reporting, help="homology classes of a grid map")
+    p = sub.add_parser("hurewicz", parents=[json_flag], help="homology classes of a grid map")
     p.add_argument("gridmap", help="grid-map JSON file")
     p.add_argument("--relative", action="store_true", help="require a triple-mode map")
     p.add_argument("--show-chain", action="store_true", help="print the cube decomposition")

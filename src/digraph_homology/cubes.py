@@ -7,6 +7,12 @@ Degenerate cubes (constant along some axis) span the subcomplex that is
 quotiented away.  Relative homology comes from the pair of the complexes
 of a digraph and of a subdigraph.
 
+The cost of a degree is its number of singular cubes, which neither the
+degree nor the vertex count predicts: S^2 C4 has 8 vertices and over
+seven million 4-cubes.  Enumeration refuses a degree with more than
+`CUBE_BOUND` singular cubes (`BoundExceededError`) before it stores any
+of them, whoever asks for the degree.
+
 Complexes enumerate cubes by face composition, as pairs of integer ids
 of degree n - 1 (`_level`).  Single cubes read small per-dimension index
 tables (`_tables`): the corners of each face, the corner pairs along each
@@ -51,8 +57,7 @@ class IndexOutOfRangeError(IndexError):
     pass
 
 
-DEFAULT_DIM_BOUND = 3
-DEFAULT_VERTEX_BOUND = 12
+CUBE_BOUND = 500_000
 
 
 def cube_corners(n: int) -> list[tuple[int, ...]]:
@@ -199,11 +204,8 @@ def cubical_boundary(ch: CubicalChain) -> CubicalChain:
     return CubicalChain(n - 1, terms)
 
 
-def _require_bounds(g: Digraph, n: int, dim_bound: int, vertex_bound: int) -> None:
-    if n > dim_bound:
-        raise BoundExceededError(f"dimension {n} exceeds bound {dim_bound}")
-    if g.n_vertices > vertex_bound:
-        raise BoundExceededError(f"{g.n_vertices} vertices exceed bound {vertex_bound}")
+def _refusal(n: int) -> BoundExceededError:
+    return BoundExceededError(f"degree {n} has more than {CUBE_BOUND} singular cubes")
 
 
 class _Level(NamedTuple):
@@ -217,7 +219,7 @@ class _Level(NamedTuple):
     rows: list  # per id: position in the quotient basis, None if degenerate
 
 
-def _level(g: Digraph, below: Optional[_Level], keep: bool = True) -> _Level:
+def _level(g: Digraph, n: int, below: Optional[_Level], keep: bool = True) -> _Level:
     """The n-cubes of g from the (n-1)-cubes `below` (the vertices if None).
 
     An n-cube is the pair (lo, hi) of its faces x_1 = 0 and x_1 = 1.  The
@@ -228,20 +230,30 @@ def _level(g: Digraph, below: Optional[_Level], keep: bool = True) -> _Level:
     the pair of faces (i - 1, k) of lo and hi, and the cube is constant
     along axis 1 iff lo == hi, along axis i > 1 iff lo and hi are along
     axis i - 1.  Without `keep` (the top degree of a build) `pid` is not
-    made and degenerate cubes get no faces or values.
+    made and degenerate cubes get no faces or values.  Past `CUBE_BOUND`
+    cubes, counted per (n-1)-cube as their hi are found, the degree is
+    refused before any faces or values are made.
     """
     if below is None:
         size = len(g.vertices)
+        if size > CUBE_BOUND:
+            raise _refusal(n)
         return _Level(None, {}, [()] * size, [0] * size, [(v,) for v in g.vertices], [*range(size)])
     if below.his is None:
-        his = [[g.index(w) for w in (v,) + g.out_neighbors(v)] for v in g.vertices]
+        found = ([g.index(w) for w in (v,) + g.out_neighbors(v)] for v in g.vertices)
     else:
         up, get = below.his, below.pid.get
-        his = [
+        found = (
             [i for c in up[a] for d in up[b] if (i := get((c, d))) is not None]
             for a, hs in enumerate(up)
             for b in hs
-        ]
+        )
+    his, size = [], 0
+    for hs in found:
+        size += len(hs)
+        if size > CUBE_BOUND:
+            raise _refusal(n)
+        his.append(hs)
     pairs = [(a, h) for a, hs in enumerate(his) for h in hs]
     bfaces, bmask, bvalues = below.faces, below.mask, below.values
     mask = [(a == h) | ((bmask[a] & bmask[h]) << 1) for a, h in pairs]
@@ -256,18 +268,11 @@ def _level(g: Digraph, below: Optional[_Level], keep: bool = True) -> _Level:
     return _Level(his, dict(zip(pairs, count())) if keep else None, faces, mask, values, rows)
 
 
-def enumerate_cubes(
-    g: Digraph,
-    n: int,
-    *,
-    dim_bound: int = DEFAULT_DIM_BOUND,
-    vertex_bound: int = DEFAULT_VERTEX_BOUND,
-) -> list[SingularCube]:
+def enumerate_cubes(g: Digraph, n: int) -> list[SingularCube]:
     """All singular n-cubes of g, in binary-counter order of their values."""
-    _require_bounds(g, n, dim_bound, vertex_bound)
     level = None
-    for _ in range(n + 1):
-        level = _level(g, level)
+    for k in range(n + 1):
+        level = _level(g, k, level)
     return [SingularCube(n, v, g) for v in level.values]
 
 
@@ -291,25 +296,18 @@ class CubicalComplex(DigraphComplex):
         self._levels: list[_Level] = []
         self.complex = ChainComplex({}, {}, self.grow)
 
-    def grow(
-        self,
-        maxdim: int,
-        *,
-        dim_bound: int = DEFAULT_DIM_BOUND,
-        vertex_bound: int = DEFAULT_VERTEX_BOUND,
-    ) -> "CubicalComplex":
-        """Build every degree up to maxdim that is not built yet.  The
-        bounds are checked for every degree up to maxdim, built or not;
-        degrees that a reader builds on demand stay within the defaults."""
+    def grow(self, maxdim: int) -> "CubicalComplex":
+        """Build every degree up to maxdim that is not built yet.  A degree
+        over `CUBE_BOUND` raises `BoundExceededError` and stores nothing, so
+        it is refused again on every later request, and the degrees below
+        it stay built."""
         g = self.digraph
-        for n in range(maxdim + 1):
-            _require_bounds(g, n, dim_bound, vertex_bound)
         levels = self._levels
         for n in range(len(self.basis), maxdim + 1):
             while len(levels) < n:  # a build's top degree keeps no id tables
-                levels.append(_level(g, levels[-1] if levels else None))
+                levels.append(_level(g, len(levels), levels[-1] if levels else None))
             below = levels[n - 1] if n else None
-            level = _level(g, below, keep=n < maxdim)
+            level = _level(g, n, below, keep=n < maxdim)
             if n < maxdim:
                 levels.append(level)
             signs = [sign for _, sign in _tables(n).boundary]
@@ -335,7 +333,7 @@ class CubicalComplex(DigraphComplex):
         n-cubes of the digraph: degenerate cubes are dropped."""
         self.complex.grow(n)
         if n not in self.index:
-            raise BoundExceededError(f"dimension {n} outside the built range")
+            raise ValueError(f"no cubes of degree {n}")
         index, axes = self.index[n], _tables(n).axes
         vec: dict[int, int] = {}
         for values, coeff in terms.items():
@@ -364,16 +362,9 @@ class CubicalComplex(DigraphComplex):
 _cubical_complex = lru_cache(maxsize=64)(CubicalComplex)
 
 
-def build_cubical_complex(
-    g: Digraph,
-    maxdim: int,
-    reduced: bool = False,
-    *,
-    dim_bound: int = DEFAULT_DIM_BOUND,
-    vertex_bound: int = DEFAULT_VERTEX_BOUND,
-) -> CubicalComplex:
+def build_cubical_complex(g: Digraph, maxdim: int, reduced: bool = False) -> CubicalComplex:
     """The complex of g (one per digraph, cached) grown to maxdim, or its reduced view."""
-    cc = _cubical_complex(g).grow(maxdim, dim_bound=dim_bound, vertex_bound=vertex_bound)
+    cc = _cubical_complex(g).grow(maxdim)
     return cc.reduced if reduced else cc
 
 
@@ -382,22 +373,14 @@ build_cubical_complex.cache_clear = _cubical_complex.cache_clear
 
 
 def cubical_homology(
-    g: Digraph,
-    n: int,
-    relative_to: Optional[Digraph] = None,
-    reduced: bool = False,
-    *,
-    dim_bound: int = DEFAULT_DIM_BOUND,
-    vertex_bound: int = DEFAULT_VERTEX_BOUND,
+    g: Digraph, n: int, relative_to: Optional[Digraph] = None, reduced: bool = False
 ) -> AbelianGroup:
-    """Cubical homology of g (or of the pair (g, relative_to)) at degree n;
-    requires n + 1 <= dim_bound so the image boundary is available."""
-    if n + 1 > dim_bound:
-        raise BoundExceededError(f"degree {n} needs dimension {n + 1} > bound {dim_bound}")
-    bounds = {"dim_bound": dim_bound, "vertex_bound": vertex_bound}
+    """Cubical homology H_n(g) or H_n(g, relative_to) over the integers."""
+    if n < 0:
+        raise ValueError("negative degree")
     if relative_to is None:
-        return build_cubical_complex(g, n + 1, reduced, **bounds).homology(n)
-    return build_cubical_pair(g, relative_to, n + 1, reduced, **bounds).homology(n)
+        return build_cubical_complex(g, n + 1, reduced).homology(n)
+    return build_cubical_pair(g, relative_to, n + 1, reduced).homology(n)
 
 
 @lru_cache(maxsize=64)
@@ -405,19 +388,9 @@ def _cubical_pair(g: Digraph, a: Digraph) -> DigraphPair:
     return DigraphPair(_cubical_complex(g), _cubical_complex(a))
 
 
-def build_cubical_pair(
-    g: Digraph,
-    a: Digraph,
-    maxdim: int,
-    reduced: bool = False,
-    *,
-    dim_bound: int = DEFAULT_DIM_BOUND,
-    vertex_bound: int = DEFAULT_VERTEX_BOUND,
-) -> DigraphPair:
+def build_cubical_pair(g: Digraph, a: Digraph, maxdim: int, reduced: bool = False) -> DigraphPair:
     """The pair (g, a) (one per pair, cached) grown to maxdim, or its reduced view."""
     pair = _cubical_pair(g, a)
-    pair.ambient.grow(maxdim, dim_bound=dim_bound, vertex_bound=vertex_bound)
-    pair.sub.grow(maxdim, dim_bound=dim_bound, vertex_bound=vertex_bound)
     pair.pair.grow(maxdim)
     return pair.reduced if reduced else pair
 
@@ -477,18 +450,11 @@ def iota_values(n: int, terms: dict[tuple, int]) -> PathChain:
     return PathChain(n, out)
 
 
-def comparison_L(
-    g: Digraph,
-    n: int,
-    reduced: bool = False,
-    *,
-    dim_bound: int = DEFAULT_DIM_BOUND,
-    vertex_bound: int = DEFAULT_VERTEX_BOUND,
-) -> GroupMap:
+def comparison_L(g: Digraph, n: int, reduced: bool = False) -> GroupMap:
     """Matrix of the comparison homomorphism from cubical to path homology
     at degree n, on the chosen generator bases.  The reduced variant (only
     meaningful at n = 0) compares the two augmented theories."""
-    cc = build_cubical_complex(g, n + 1, reduced, dim_bound=dim_bound, vertex_bound=vertex_bound)
+    cc = build_cubical_complex(g, n + 1, reduced)
     oc = build_omega_complex(g, n + 1, reduced)
     hd_c = cc.complex.homology(n)
     hd_p = oc.complex.homology(n)
@@ -538,21 +504,13 @@ def cubical_suspension_cycle(
     return out
 
 
-def cubical_suspension_map(
-    x: Digraph,
-    n: int,
-    apex_a="+a",
-    apex_b="+b",
-    *,
-    dim_bound: int = DEFAULT_DIM_BOUND,
-    vertex_bound: int = DEFAULT_VERTEX_BOUND,
-) -> GroupMap:
+def cubical_suspension_map(x: Digraph, n: int, apex_a="+a", apex_b="+b") -> GroupMap:
     """The cubical suspension homomorphism H^c_n(x) -> H^c_{n+1}(suspension)
     (reduced at n = 0) by `chains.suspension_map`: the class of the cycle
     C_b z - C_a z of each generator z, since d(C_p s) = -s - C_p(ds) modulo
-    degenerate cubes.  The bounds are checked on the suspension first."""
+    degenerate cubes."""
     sx = suspension(x, apex_a, apex_b)
-    csx = build_cubical_complex(sx, n + 2, dim_bound=dim_bound, vertex_bound=vertex_bound)
-    cx = build_cubical_complex(x, n + 1, dim_bound=dim_bound, vertex_bound=vertex_bound)
+    csx = build_cubical_complex(sx, n + 2)
+    cx = build_cubical_complex(x, n + 1)
     suspend = partial(_suspend, target=sx, apex_a=apex_a, apex_b=apex_b)
     return suspension_map(cx, csx, n, suspend)

@@ -127,9 +127,6 @@ class Digraph:
             self._cache["in"] = inn
         return inn[v]
 
-    def with_base(self, base: Optional[Label]) -> "Digraph":
-        return Digraph(self.vertices, self.arrows, base)
-
     def __eq__(self, other):
         if not isinstance(other, Digraph):
             return NotImplemented

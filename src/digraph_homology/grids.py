@@ -38,8 +38,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .chains import HomologyClass
 from .cubes import (
-    DEFAULT_DIM_BOUND,
-    DEFAULT_VERTEX_BOUND,
     CubicalChain,
     SingularCube,
     build_cubical_complex,
@@ -785,22 +783,16 @@ def _cell_table(axes: tuple[LineSpec, ...]) -> tuple[tuple[int, ...], tuple[int,
     return tuple(positions), tuple(signs)
 
 
-def hurewicz_class(
-    f: GridMap,
-    *,
-    dim_bound: int = DEFAULT_DIM_BOUND,
-    vertex_bound: int = DEFAULT_VERTEX_BOUND,
-) -> HomologyClass:
+def hurewicz_class(f: GridMap) -> HomologyClass:
     """Class of the cell decomposition in cubical homology: absolute for
     pair mode, relative to the constraint subdigraph for triple mode."""
     require_valid(f)
     n = f.dims
     cells = _cells(f)
-    bounds = {"dim_bound": dim_bound, "vertex_bound": vertex_bound}
     if f.mode == "triple":
-        pair = build_cubical_pair(f.target, f.sub, n + 1, **bounds)
+        pair = build_cubical_pair(f.target, f.sub, n + 1)
         return pair.pair.quotient_class(n, pair.ambient.values_coords(n, cells))
-    cc = build_cubical_complex(f.target, n + 1, **bounds)
+    cc = build_cubical_complex(f.target, n + 1)
     return cc.complex.class_of(n, cc.values_coords(n, cells))
 
 

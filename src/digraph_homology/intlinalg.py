@@ -323,9 +323,6 @@ class AbelianGroup:
     def n_generators(self) -> int:
         return self.rank + len(self.torsion)
 
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = []
         if self.rank == 1:

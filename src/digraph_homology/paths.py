@@ -60,19 +60,6 @@ class PathChain(Chain):
             )
         ]
 
-    @staticmethod
-    def from_json(data: list) -> "PathChain":
-        if not data:
-            raise ValueError("cannot infer the degree of an empty chain; give at least one term")
-        terms = {}
-        degree = None
-        for item in data:
-            path = tuple(str(v) for v in item["path"])
-            if degree is None:
-                degree = len(path) - 1
-            terms[path] = terms.get(path, 0) + int(item["coeff"])
-        return PathChain(degree, terms)
-
 
 def is_regular(path: Sequence) -> bool:
     return all(a != b for a, b in zip(path, path[1:]))

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from functools import partial
 from itertools import combinations
 
 import pytest
@@ -410,11 +409,8 @@ def test_suspension_maps_match_the_composite():
     }
     nonzero = Counter()
 
-    def check(x, vertex_bound=12):
+    def check(x):
         for theory, (suspension_map, build_pair, degrees) in theories.items():
-            if theory == "cubical":
-                suspension_map = partial(suspension_map, vertex_bound=vertex_bound)
-                build_pair = partial(build_pair, vertex_bound=vertex_bound)
             for n in degrees:
                 cone_pair = build_pair(cone(x, "+a"), x, n + 2)
                 susp_pair = build_pair(suspension(x, "+a", "+b"), cone(x, "+b"), n + 2)
@@ -436,4 +432,4 @@ def test_suspension_maps_match_the_composite():
     assert all(nonzero[theory, n] for theory, (*_, degrees) in theories.items() for n in degrees)
     rp2 = rp2_face_poset()
     assert path_homology(rp2, 1) == AbelianGroup(0, (2,))
-    check(rp2, vertex_bound=33)
+    check(rp2)

@@ -159,7 +159,7 @@ def test_relative_path_output_does_not_depend_on_sub_vertex_order(tmp_path, caps
     [
         "homology IN --theory cubical --dim 1 --relative SUB --reduced --json --maxdim 4",
         "build boxprod IN IN --times 2 -o OUT",
-        "hurewicz MAP --relative --show-chain --json --maxdim 4",
+        "hurewicz MAP --relative --show-chain --json",
         "compare IN --dim 1 --json --maxdim 4",
         "verify certificate F G CERT",
         "verify exactness PAIR --theory cubical --maxdim 2",
@@ -178,6 +178,7 @@ def test_documented_flags_parse(argv):
         "build cone IN --seed 0",
         "homology IN --dim 1 --seed 0",
         "hurewicz MAP --seed 0",
+        "hurewicz MAP --maxdim 4",
         "compare IN --dim 1 --seed 0",
         "verify certificate F G CERT --json",
     ],
@@ -450,12 +451,9 @@ def test_verify_exactness_negative_maxdim_exit_code(capsys, cone_pair_file):
             assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_every_subcommand_checks_maxdim_alike(tmp_path, capsys, c4_file, cone_pair_file):
-    loop = tmp_path / "loop.json"
-    loop.write_text(json.dumps(grid_map_to_json(winding_json())))
+def test_every_subcommand_checks_maxdim_alike(capsys, c4_file, cone_pair_file):
     commands = [
         ("homology", c4_file, "--dim", "1"),
-        ("hurewicz", loop),
         ("compare", c4_file, "--dim", "1"),
         ("verify", "exactness", cone_pair_file),
     ]
@@ -472,12 +470,11 @@ def test_every_subcommand_checks_maxdim_alike(tmp_path, capsys, c4_file, cone_pa
 
 
 def test_verify_exactness_bound_exceeded(tmp_path, capsys):
-    # the cone of a 12-cycle has 13 vertices, over the cubical vertex bound
-    c12 = relabel_to_strings(cycle_digraph(12))
+    # degree 4 of the double suspension of C4 has 7,121,940 singular cubes
+    sc4 = suspension(relabel_to_strings(cycle_digraph(4)))
+    s2c4 = suspension(sc4, "c", "d")
     pair_file = tmp_path / "pair.json"
-    pair_file.write_text(
-        json.dumps({"ambient": digraph_to_json(cone(c12, "a")), "sub": digraph_to_json(c12)})
-    )
+    pair_file.write_text(json.dumps({"ambient": digraph_to_json(s2c4), "sub": digraph_to_json(sc4)}))
     code, out, err = run_cli(capsys, "verify", "exactness", pair_file, "--theory", "cubical")
     assert code == 3
     assert out == ""

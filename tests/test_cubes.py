@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from digraph_homology import cubes
 from digraph_homology.chains import NotACycleError, verify_exactness
 from digraph_homology.cli import main
 from digraph_homology.cubes import (
@@ -33,10 +34,13 @@ from digraph_homology.digraphs import (
     cone,
     cycle_digraph,
     digraph_from_json,
+    digraph_to_json,
     make_grid,
+    relabel_to_strings,
     standard_line,
     suspension,
 )
+from digraph_homology.grids import GridMap, grid_map_to_json, hurewicz_class
 from digraph_homology.intlinalg import AbelianGroup
 from digraph_homology.paths import (
     PathChain,
@@ -74,7 +78,7 @@ def brute_force_cubes(g, n):
     return out
 
 
-def test_enumerate_cubes_counts():
+def test_enumerate_cubes_counts(monkeypatch):
     c4 = cycle_digraph(4)
     assert len(enumerate_cubes(c4, 0)) == 4
     # 4 constant + 4 arrow cubes, against the brute-force oracle
@@ -88,8 +92,11 @@ def test_enumerate_cubes_counts():
     assert len(cubes2) == len(oracle)
     assert sorted(c.values for c in cubes2) == sorted(oracle)
 
-    with pytest.raises(BoundExceededError):
-        enumerate_cubes(c4, 4)
+    # C4 has 4, 8, 24 and 152 singular cubes in degrees 0 to 3
+    monkeypatch.setattr(cubes, "CUBE_BOUND", 24)
+    assert len(enumerate_cubes(c4, 2)) == 24
+    with pytest.raises(BoundExceededError, match="^degree 3 has more than 24 singular cubes$"):
+        enumerate_cubes(c4, 3)
 
 
 def test_face_and_boundary_examples():
@@ -111,7 +118,7 @@ def test_face_and_boundary_examples():
     from digraph_homology.digraphs import box_product
 
     torus = box_product(c4, c4)
-    for cube in enumerate_cubes(torus, 2, vertex_bound=16):
+    for cube in enumerate_cubes(torus, 2):
         bb = cubical_boundary(cubical_boundary(CubicalChain(2, {cube: 1})))
         assert bb.is_zero()
 
@@ -126,7 +133,7 @@ def test_is_degenerate():
     assert not is_degenerate(SingularCube(2, (0, 0, 0, 1), j1))
 
 
-def test_cubical_homology_examples():
+def test_cubical_homology_examples(monkeypatch):
     point = build_digraph([0], [])
     assert cubical_homology(point, 0) == AbelianGroup(1)
     c4 = cycle_digraph(4)
@@ -134,8 +141,11 @@ def test_cubical_homology_examples():
     # rank >= 1 witnessed through the comparison map below
     h1 = cubical_homology(c4, 1)
     assert h1.rank >= 1
-    with pytest.raises(BoundExceededError):
-        cubical_homology(c4, 3)
+    # H_2 reads degree 3, with 152 singular cubes
+    build_cubical_complex.cache_clear()
+    monkeypatch.setattr(cubes, "CUBE_BOUND", 151)
+    with pytest.raises(BoundExceededError, match="^degree 3 has more than 151 singular cubes$"):
+        cubical_homology(c4, 2)
 
 
 def test_omega_generator_examples():
@@ -377,8 +387,8 @@ def test_face_composition_matches_the_reference_to_degree_4():
             cols[0] = [{0: 1} if reduced else {} for _ in bases[0]]
             build_cubical_complex.cache_clear()
             for n in range(5):  # one degree at a time: each grow rebuilds the last one's tables
-                one_by_one = build_cubical_complex(g, n, dim_bound=4, reduced=reduced)
-            at_once = CubicalComplex(g).grow(4, dim_bound=4)
+                one_by_one = build_cubical_complex(g, n, reduced=reduced)
+            at_once = CubicalComplex(g).grow(4)
             for cc in (one_by_one, at_once.reduced if reduced else at_once):
                 for n in range(5):
                     assert cc.basis[n] == [c.values for c in bases[n]]
@@ -388,9 +398,9 @@ def test_face_composition_matches_the_reference_to_degree_4():
 
 def test_enumerate_cubes_matches_the_reference_at_degree_4():
     for g in shuffled_digraphs():
-        cubes = enumerate_cubes(g, 4, dim_bound=4)
-        assert cubes == reference_cubes(g, 4)
-        assert any(reference_is_degenerate(c) for c in cubes)
+        level = enumerate_cubes(g, 4)
+        assert level == reference_cubes(g, 4)
+        assert any(reference_is_degenerate(c) for c in level)
 
 
 def test_pinned_suspension_and_comparison_coordinates():
@@ -565,7 +575,7 @@ def test_top_degree_homology_builds_the_degree_above():
 
 
 def test_both_theories_take_the_same_positional_arguments():
-    # the cubical bounds are keyword-only, so positional apexes stay apexes
+    # each cubical function takes the arguments of its path twin, and nothing else
     c4 = cycle_digraph(4)
     for x in (c4, suspension(c4)):
         for n in (0, 1):
@@ -580,27 +590,80 @@ def test_both_theories_take_the_same_positional_arguments():
         assert builder(cone(c4, "+a"), c4, 2, True) is builder(cone(c4, "+a"), c4, 2).reduced
 
 
-def test_a_warm_cache_never_bypasses_a_bound(tmp_path):
+@pytest.mark.parametrize("homology", [path_homology, cubical_homology])
+def test_a_negative_degree_is_refused_in_both_theories(homology):
+    for reduced in (False, True):
+        with pytest.raises(ValueError, match="^negative degree$"):
+            homology(cycle_digraph(4), -1, reduced=reduced)
+
+
+def test_every_cubical_entry_point_is_bounded_by_the_cube_count(tmp_path, monkeypatch, capsys):
+    # cold caches, so each call enumerates degree 3 of C4: 152 singular cubes
+    build_cubical_complex.cache_clear()
+    build_cubical_pair.cache_clear()
+    monkeypatch.setattr(cubes, "CUBE_BOUND", 100)
+    c4 = cycle_digraph(4)
+    square = GridMap((standard_line(2),) * 2, (0,) * 9, c4, "pair", 0)
+    calls = [
+        lambda: build_cubical_complex(c4, 3),
+        lambda: build_cubical_pair(cone(c4, "+a"), c4, 3),
+        lambda: cubical_homology(c4, 2),
+        lambda: comparison_L(c4, 2),
+        lambda: cubical_suspension_map(c4, 1),
+        lambda: hurewicz_class(square),
+    ]
+    for call in calls:
+        with pytest.raises(BoundExceededError, match="^degree 3 has more than 100 singular cubes$"):
+            call()
+
+    c4 = relabel_to_strings(c4)
+    documents = {
+        "c4": digraph_to_json(c4),
+        "pair": {"ambient": digraph_to_json(cone(c4, "+a")), "sub": "c4.json"},
+        "square": grid_map_to_json(GridMap(square.axes, ("0",) * 9, c4, "pair", "0")),
+    }
+    for name, document in documents.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(document))
+    c4_file, pair_file, square_file = (str(tmp_path / f"{name}.json") for name in documents)
+    commands = [
+        ["homology", c4_file, "--theory", "cubical", "--dim", "2"],
+        ["compare", c4_file, "--dim", "2"],
+        ["hurewicz", square_file],
+        ["verify", "exactness", pair_file, "--theory", "cubical", "--maxdim", "2"],
+    ]
+    for argv in commands:
+        assert main(argv) == 3, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: degree 3 has more than 100 singular cubes\n"
+
+
+def test_a_warm_cache_never_bypasses_a_bound(tmp_path, monkeypatch):
     path = tmp_path / "c4.json"
     arrows = [list(e) for e in ("ab", "bc", "cd", "da")]
     path.write_text(json.dumps({"vertices": list("abcd"), "arrows": arrows}))
     g = digraph_from_json(json.loads(path.read_text()))
     cc = build_cubical_complex(g, 3)
-    with pytest.raises(BoundExceededError, match="^dimension 2 exceeds bound 1$"):
-        build_cubical_complex(g, 2, dim_bound=1)
-    with pytest.raises(BoundExceededError, match="^4 vertices exceed bound 3$"):
-        build_cubical_complex(g, 2, vertex_bound=3)
-    with pytest.raises(BoundExceededError, match="^degree 3 needs dimension 4 > bound 3$"):
-        cubical_homology(g, 3)
-    with pytest.raises(BoundExceededError, match="^dimension 4 exceeds bound 3$"):
-        cc.complex.homology(3)  # degrees built on demand stay within the defaults
-    cubical_suspension_map(g, 1)
-    with pytest.raises(BoundExceededError, match="^dimension 3 exceeds bound 2$"):
-        cubical_suspension_map(g, 1, dim_bound=2)
-    with pytest.raises(BoundExceededError, match="^6 vertices exceed bound 5$"):
-        cubical_suspension_map(g, 1, vertex_bound=5)
-    argv = ["homology", str(path), "--theory", "cubical", "--dim", "2", "--maxdim", "2"]
-    assert main(argv) == 3
+    groups = [cc.homology(n) for n in range(3)]
+    bases = dict(cc.basis)
+    # degree 3 of C4 has 152 singular cubes, degree 4 more
+    monkeypatch.setattr(cubes, "CUBE_BOUND", 152)
+    refused = "^degree 4 has more than 152 singular cubes$"
+    for _ in range(2):  # a refused degree stores nothing, so it is refused again
+        with pytest.raises(BoundExceededError, match=refused):
+            cc.complex.homology(3)
+        with pytest.raises(BoundExceededError, match=refused):
+            cubical_homology(g, 3)
+        with pytest.raises(BoundExceededError, match=refused):
+            build_cubical_complex(g, 4)
+        argv = ["homology", str(path), "--theory", "cubical", "--dim", "3", "--maxdim", "4"]
+        assert main(argv) == 3
+    # every degree below the refused one, and its group, is still there
+    assert build_cubical_complex(g, 3) is cc
+    assert cc.basis == bases
+    assert [cubical_homology(g, n) for n in range(3)] == groups
+    assert groups == [AbelianGroup(1), AbelianGroup(1), AbelianGroup(0)]
+    monkeypatch.undo()
 
     # one complex and one pair per digraph, whatever the degree or reduction
     assert build_cubical_complex(g, 2) is cc

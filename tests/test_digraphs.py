@@ -186,7 +186,7 @@ def test_make_line_examples():
 
 
 def test_json_roundtrip():
-    c4 = relabel_to_strings(cycle_digraph(4).with_base(0))
+    c4 = relabel_to_strings(build_digraph(range(4), [(i, (i + 1) % 4) for i in range(4)], base=0))
     blob = json.dumps(digraph_to_json(c4))
     again = digraph_from_json(json.loads(blob))
     assert again == c4
