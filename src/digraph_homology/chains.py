@@ -41,6 +41,10 @@ from .intlinalg import (
 )
 
 
+class BoundExceededError(ValueError):
+    """A degree holds more paths or cubes than its theory's bound."""
+
+
 class BoundaryNotSquareZeroError(ValueError):
     pass
 
@@ -302,14 +306,9 @@ def _reduce_coords(group: AbelianGroup, coords: Sequence[int]) -> tuple[int, ...
     return tuple(out)
 
 
-def _relation_vectors(group: AbelianGroup) -> list[list[int]]:
-    g = group.n_generators
-    rels = []
-    for i, d in enumerate(group.torsion):
-        v = [0] * g
-        v[i] = d
-        rels.append(v)
-    return rels
+def _relations(group: AbelianGroup) -> list[dict]:
+    """The torsion relations d * e_i of a presented group, as sparse vectors."""
+    return [{i: d} for i, d in enumerate(group.torsion)]
 
 
 class GroupMap:
@@ -372,22 +371,19 @@ class GroupMap:
         return self.matrix.is_zero()
 
     def _presentation_cols(self) -> list[dict]:
-        """`image_generators` as sparse dicts."""
-        return [{i: x for i, x in enumerate(c) if x} for c in self.image_generators()]
+        """Sparse generators in Z^{target gens} of the image subgroup's
+        preimage lattice: the image columns, then the target relations."""
+        cols = [{i: x for i, x in enumerate(c) if x} for c in self.matrix.columns()]
+        return cols + _relations(self.target)
 
-    def image_generators(self) -> list[list[int]]:
-        """Generators in Z^{target gens} of the image subgroup's preimage
-        lattice (image columns together with target relations)."""
-        return [list(c) for c in self.matrix.columns()] + _relation_vectors(self.target)
-
-    def kernel_generators(self) -> list[list[int]]:
-        """Generators in Z^{source gens} of the kernel subgroup's preimage
-        lattice (includes source relations)."""
+    def _kernel_cols(self) -> list[dict]:
+        """Sparse generators in Z^{source gens} of the kernel subgroup's
+        preimage lattice: the source part of each kernel vector of the
+        presentation, then the source relations."""
         s = self.source.n_generators
         kernel = kernel_echelon(self._presentation_cols(), self.target.n_generators)
-        gens = [[vec.get(i, 0) for i in range(s)] for vec in kernel.basis_vectors()]
-        gens.extend(_relation_vectors(self.source))
-        return gens
+        cols = [{i: x for i, x in vec.items() if i < s} for vec in kernel.basis_vectors()]
+        return cols + _relations(self.source)
 
     def inverse(self) -> "GroupMap":
         """Inverse homomorphism; raises if this map is not an isomorphism."""
@@ -406,24 +402,22 @@ class GroupMap:
         return inv
 
 
-def _lattices_equal_as_subgroups(gens_a: list, gens_b: list) -> bool:
-    ech_a = Echelon()
-    for v in gens_a:
-        ech_a.add({i: x for i, x in enumerate(v) if x})
-    ech_b = Echelon()
-    for v in gens_b:
-        ech_b.add({i: x for i, x in enumerate(v) if x})
-    return all(
-        ech_b.contains(v) for v in ech_a.basis_vectors()
-    ) and all(ech_a.contains(v) for v in ech_b.basis_vectors())
-
-
 def verify_exactness(maps: Sequence[GroupMap]) -> bool:
-    """True iff image equals kernel at every interior node of the sequence."""
+    """True iff image equals kernel at every interior node of the sequence:
+    each of the two preimage lattices contains the other's echelon basis
+    (an `Echelon` is not a canonical form, so the bases are not compared)."""
     for f, g in zip(maps, maps[1:]):
         if f.target != g.source:
             raise DimensionMismatchError("consecutive maps are not composable")
-        if not _lattices_equal_as_subgroups(f.image_generators(), g.kernel_generators()):
+        image, kernel = Echelon(), Echelon()
+        for v in f._presentation_cols():
+            image.add(v)
+        for v in g._kernel_cols():
+            kernel.add(v)
+        if not (
+            all(map(kernel.contains, image.basis_vectors()))
+            and all(map(image.contains, kernel.basis_vectors()))
+        ):
             return False
     return True
 

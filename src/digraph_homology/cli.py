@@ -7,8 +7,11 @@ matrix), and `verify` (certificates, long-exact-sequence exactness, and
 the built-in verification suite).
 
 Exit codes: 0 success, 1 failed verification, 2 parse error, 3 bound
-exceeded, 4 invalid subdigraph, 5 invalid grid map (for `hurewicz`, also
-a map without a class: 0-dimensional, or a cell chain that is no cycle).
+exceeded (a degree with more than `paths.PATH_BOUND` allowed paths or
+`cubes.CUBE_BOUND` singular cubes, refused by `main` whichever command
+asked for it), 4 invalid subdigraph, 5 invalid grid map (for `hurewicz`,
+also a map without a class: 0-dimensional, or a cell chain that is no
+cycle).
 """
 
 from __future__ import annotations
@@ -19,13 +22,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .chains import NotACycleError, verify_exactness
-from .cubes import (
-    BoundExceededError,
-    build_cubical_pair,
-    comparison_L,
-    cubical_homology,
-)
+from .chains import BoundExceededError, NotACycleError, verify_exactness
+from .cubes import build_cubical_pair, comparison_L, cubical_homology
 from .digraphs import (
     Digraph,
     DigraphError,
@@ -104,12 +102,6 @@ def _require_degree(dim: int, flag: str = "--dim") -> None:
         raise CliError(f"{flag} must be non-negative, got {dim}", EXIT_PARSE)
 
 
-def _require_chains(dim: int, maxdim: int) -> None:
-    """Degree dim reads the boundary from degree dim + 1, which --maxdim must allow."""
-    if dim + 1 > maxdim:
-        raise CliError(f"degree {dim} needs chains up to {dim + 1}; raise --maxdim", EXIT_BOUND)
-
-
 def cmd_homology(args) -> int:
     _require_degree(args.dim)
     g = _load_digraph(args.input)
@@ -118,11 +110,8 @@ def cmd_homology(args) -> int:
         rel = _load_entry(_load_json(args.relative), Path(args.relative).parent, "subdigraph")
         if not is_subdigraph(rel, g):
             raise CliError("the relative file is not a subdigraph of the input", EXIT_SUBDIGRAPH)
-    _require_chains(args.dim, args.maxdim)
     try:
         group = HOMOLOGY[args.theory](g, args.dim, rel, args.reduced)
-    except BoundExceededError as exc:
-        raise CliError(str(exc), EXIT_BOUND)
     except NotASubdigraphError as exc:
         raise CliError(str(exc), EXIT_SUBDIGRAPH)
     print(_group_report(f"H_{args.dim}", group, args.json))
@@ -187,8 +176,6 @@ def cmd_hurewicz(args) -> int:
     try:
         cubical = hurewicz_class(f)
         glmy = glmy_hurewicz(f)
-    except BoundExceededError as exc:
-        raise CliError(str(exc), EXIT_BOUND)
     except (WrongDimensionError, NotACycleError) as exc:
         # a 0-dimensional map, or an absolute-mode map whose cells do not close up
         raise CliError(f"no Hurewicz class: {exc}", EXIT_GRIDMAP)
@@ -211,11 +198,7 @@ def cmd_hurewicz(args) -> int:
 def cmd_compare(args) -> int:
     _require_degree(args.dim)
     g = _load_digraph(args.input)
-    _require_chains(args.dim, args.maxdim)
-    try:
-        lmap = comparison_L(g, args.dim)
-    except BoundExceededError as exc:
-        raise CliError(str(exc), EXIT_BOUND)
+    lmap = comparison_L(g, args.dim)
     if args.json:
         print(
             json.dumps(
@@ -265,11 +248,8 @@ def cmd_verify(args) -> int:
         sub = _load_entry(data["sub"], base_dir, "subdigraph")
         if not is_subdigraph(sub, ambient):
             raise CliError("'sub' is not a subdigraph of 'ambient'", EXIT_SUBDIGRAPH)
-        try:
-            pair = PAIR_BUILDERS[args.theory](ambient, sub, args.maxdim + 1)
-            ok = verify_exactness(pair.pair.les_maps(args.maxdim))
-        except BoundExceededError as exc:
-            raise CliError(str(exc), EXIT_BOUND)
+        pair = PAIR_BUILDERS[args.theory](ambient, sub, args.maxdim + 1)
+        ok = verify_exactness(pair.pair.les_maps(args.maxdim))
         print("PASS" if ok else "FAIL")
         return 0 if ok else EXIT_VERIFY_FAILED
 
@@ -298,18 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the shared flags it reads
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="machine-readable output")
-    maxdim_flag = argparse.ArgumentParser(add_help=False)
-    maxdim_flag.add_argument(
-        "--maxdim",
-        type=int,
-        default=3,
-        help="degree bound for chain generation (default 3; higher values can be slow)",
-    )
-    reporting = [json_flag, maxdim_flag]
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("homology", parents=reporting, help="compute a homology group")
+    p = sub.add_parser("homology", parents=[json_flag], help="compute a homology group")
     p.add_argument("input", help="digraph JSON file")
     p.add_argument("--theory", choices=["path", "cubical"], default="path")
     p.add_argument("--dim", type=int, required=True)
@@ -330,14 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--show-chain", action="store_true", help="print the cube decomposition")
     p.set_defaults(func=cmd_hurewicz)
 
-    p = sub.add_parser("compare", parents=reporting, help="cubical-to-path comparison matrix")
+    p = sub.add_parser("compare", parents=[json_flag], help="cubical-to-path comparison matrix")
     p.add_argument("input", help="digraph JSON file")
     p.add_argument("--dim", type=int, required=True)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("verify", parents=[maxdim_flag], help="verification commands")
+    p = sub.add_parser("verify", help="verification commands")
     p.add_argument("what", choices=["certificate", "exactness", "paper-suite"])
     p.add_argument("inputs", nargs="*", help="input files (see README)")
+    p.add_argument(
+        "--maxdim", type=int, default=3, help="top degree of the exactness sequence (default 3)"
+    )
     p.add_argument("--theory", choices=["path", "cubical"], default="path")
     p.add_argument("--seed", type=int, default=0, help="seed for the paper suite")
     p.set_defaults(func=cmd_verify)
@@ -355,6 +330,9 @@ def main(argv: Optional[list] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BoundExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BOUND
 
 
 if __name__ == "__main__":

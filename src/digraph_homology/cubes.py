@@ -35,6 +35,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .chains import (
+    BoundExceededError,
     Chain,
     ChainComplex,
     DigraphComplex,
@@ -47,10 +48,6 @@ from .chains import (
 from .digraphs import Digraph, suspension
 from .intlinalg import AbelianGroup
 from .paths import PathChain, build_omega_complex, is_regular
-
-
-class BoundExceededError(ValueError):
-    pass
 
 
 class IndexOutOfRangeError(IndexError):

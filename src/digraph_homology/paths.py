@@ -5,6 +5,11 @@ vanish), the complex of allowed chains whose boundary stays allowed, and
 absolute/relative path homology.  Also the chain-level suspension cycle
 construction and the suspension homomorphism as the classes of suspension
 cycles.
+
+The cost of a degree is its number of allowed paths, which grows like the
+arrow count to the power of the degree.  Enumeration refuses a degree with
+more than `PATH_BOUND` allowed paths (`BoundExceededError`) before it
+builds any of them, whoever asks for the degree.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from .chains import (
+    BoundExceededError,
     Chain,
     ChainComplex,
     DigraphComplex,
@@ -22,7 +28,9 @@ from .chains import (
     suspension_map,
 )
 from .digraphs import Digraph, suspension
-from .intlinalg import AbelianGroup, Echelon, kernel_echelon
+from .intlinalg import AbelianGroup, Echelon, combination, kernel_echelon
+
+PATH_BOUND = 500_000
 
 
 class PathChain(Chain):
@@ -66,12 +74,21 @@ def is_regular(path: Sequence) -> bool:
 
 
 def allowed_paths(g: Digraph, n: int) -> list[tuple]:
-    """All allowed n-paths, ordered lexicographically in the vertex order."""
+    """All allowed n-paths, ordered lexicographically in the vertex order.
+
+    Each degree k is counted from degree k - 1, as the sum of the
+    out-degrees of the last vertices, before it is built; past
+    `PATH_BOUND` paths it is refused with `BoundExceededError`.
+    """
     if n < 0:
         raise ValueError("negative path length")
+    succ = {v: g.out_neighbors(v) for v in g.vertices}
+    outdeg = {v: len(ws) for v, ws in succ.items()}
     paths = [(v,) for v in g.vertices]
-    for _ in range(n):
-        paths = [p + (w,) for p in paths for w in g.out_neighbors(p[-1])]
+    for k in range(1, n + 1):
+        if sum(outdeg[p[-1]] for p in paths) > PATH_BOUND:
+            raise BoundExceededError(f"degree {k} has more than {PATH_BOUND} allowed paths")
+        paths = [p + (w,) for p in paths for w in succ[p[-1]]]
     return paths
 
 
@@ -124,7 +141,10 @@ class OmegaComplex(DigraphComplex):
         self.complex = ChainComplex({}, {}, self.grow)
 
     def grow(self, maxdeg: int) -> "OmegaComplex":
-        """Build every degree up to maxdeg that is not built yet."""
+        """Build every degree up to maxdeg that is not built yet.  A degree
+        over `PATH_BOUND` raises `BoundExceededError` from `allowed_paths`
+        before anything of it is stored, so it is refused again on every
+        later request, and the degrees below it stay built."""
         for n in range(len(self.allowed), maxdeg + 1):
             paths = allowed_paths(self.digraph, n)
             below_index = self.path_index.get(n - 1, {})
@@ -195,10 +215,9 @@ class OmegaComplex(DigraphComplex):
         return chain.degree, vec
 
     def coords_to_chain(self, n: int, vec: dict) -> PathChain:
-        out = PathChain(n)
-        for j, coeff in vec.items():
-            out = out + self.basis_chain(n, j).scale(coeff)
-        return out
+        paths = self.allowed[n]
+        terms = combination(self._echelons[n].basis_vectors(), vec)
+        return PathChain(n, {paths[i]: c for i, c in terms.items()})
 
     def inclusion_cols(self, sub: "OmegaComplex", n: int) -> list:
         chains = (sub.basis_chain(n, j) for j in range(sub.rank(n)))

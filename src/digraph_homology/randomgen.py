@@ -19,6 +19,8 @@ from .grids import (
     _relation,
     constant_grid_map,
     grid_map_violation,
+    on_collapsed_part,
+    on_outer_boundary,
     shrink_by_pair_insertions,
     subdivide,
 )
@@ -77,8 +79,6 @@ def random_grid_map(
                 cands = step if cands is None else cands & step
             if cands is None:
                 cands = set(target.vertices)
-            from .grids import on_collapsed_part, on_outer_boundary
-
             if mode in ("pair", "triple") and (
                 (mode == "pair" and on_outer_boundary(idx, lengths))
                 or (mode == "triple" and on_collapsed_part(idx, lengths))

@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digraph_homology.cli import build_parser, main
 from digraph_homology.digraphs import (
@@ -88,12 +95,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
-def test_bound_exceeded_exit_code(c4_file, capsys):
-    code, _, err = run_cli(capsys, "homology", c4_file, "--dim", "3")
-    assert code == 3
-    code, out, _ = run_cli(capsys, "homology", c4_file, "--dim", "3", "--maxdim", "4")
+def test_bound_exceeded_exit_code(tmp_path, c4_file, capsys):
+    code, out, _ = run_cli(capsys, "homology", c4_file, "--dim", "3")
     assert code == 0
     assert out.strip() == "H_3 = 0"
+    # the complete digraph on 100 vertices has 9,900 * 99 allowed 2-paths
+    k100 = build_digraph(range(100), [(u, v) for u in range(100) for v in range(100) if u != v])
+    path = tmp_path / "k100.json"
+    path.write_text(json.dumps(digraph_to_json(relabel_to_strings(k100))))
+    code, out, err = run_cli(capsys, "homology", path, "--dim", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: degree 2 has more than 500000 allowed paths\n"
 
 
 def test_invalid_subdigraph_exit_code(tmp_path, capsys, c4_file):
@@ -137,7 +149,7 @@ def test_relative_path_output_does_not_depend_on_sub_vertex_order(tmp_path, caps
         pair_file = tmp_path / f"{name}-pair.json"
         pair_file.write_text(json.dumps(pair))
         runs = [
-            run_cli(capsys, "homology", g_file, "--dim", n, "--maxdim", 4, "--relative", sub_file)
+            run_cli(capsys, "homology", g_file, "--dim", n, "--relative", sub_file)
             for n in range(4)
         ]
         runs.append(
@@ -157,10 +169,10 @@ def test_relative_path_output_does_not_depend_on_sub_vertex_order(tmp_path, caps
 @pytest.mark.parametrize(
     "argv",
     [
-        "homology IN --theory cubical --dim 1 --relative SUB --reduced --json --maxdim 4",
+        "homology IN --theory cubical --dim 1 --relative SUB --reduced --json",
         "build boxprod IN IN --times 2 -o OUT",
         "hurewicz MAP --relative --show-chain --json",
-        "compare IN --dim 1 --json --maxdim 4",
+        "compare IN --dim 1 --json",
         "verify certificate F G CERT",
         "verify exactness PAIR --theory cubical --maxdim 2",
         "verify paper-suite --seed 3",
@@ -177,9 +189,11 @@ def test_documented_flags_parse(argv):
         "build cone IN --maxdim 3",
         "build cone IN --seed 0",
         "homology IN --dim 1 --seed 0",
+        "homology IN --dim 1 --maxdim 4",
         "hurewicz MAP --seed 0",
         "hurewicz MAP --maxdim 4",
         "compare IN --dim 1 --seed 0",
+        "compare IN --dim 1 --maxdim 4",
         "verify certificate F G CERT --json",
     ],
 )
@@ -453,20 +467,12 @@ def test_verify_exactness_negative_maxdim_exit_code(capsys, cone_pair_file):
 
 def test_every_subcommand_checks_maxdim_alike(capsys, c4_file, cone_pair_file):
     commands = [
-        ("homology", c4_file, "--dim", "1"),
-        ("compare", c4_file, "--dim", "1"),
         ("verify", "exactness", cone_pair_file),
     ]
     for argv in commands:
         code, out, err = run_cli(capsys, *argv, "--maxdim", "-3")
         assert (code, out) == (2, ""), argv
         assert err == "error: --maxdim must be non-negative, got -3\n"
-    # degree 1 reads chains up to degree 2, in both subcommands that take a degree
-    for command in ("homology", "compare"):
-        code, out, err = run_cli(capsys, command, c4_file, "--dim", "1", "--maxdim", "1")
-        assert (code, out) == (3, "")
-        assert err == "error: degree 1 needs chains up to 2; raise --maxdim\n"
-        assert run_cli(capsys, command, c4_file, "--dim", "1", "--maxdim", "2")[0] == 0
 
 
 def test_verify_exactness_bound_exceeded(tmp_path, capsys):
@@ -574,3 +580,110 @@ def test_malformed_digraph_json_exit_code(tmp_path, capsys, command, document, c
     assert got == code
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# CLI fuzz: well-formed argv over random JSON documents.  Each document is a
+# valid digraph, grid map, pair file or certificate with up to two random
+# edits: a value anywhere in it replaced by junk, or a key or item dropped.
+DROP = object()
+JUNK = st.sampled_from(
+    [DROP, None, True, -1, 0, 2, 1.5, "", "0", "+a", [], {}, ["0"], ["0", "1"], [["0", "1"]], {"len": 2}]
+)
+FUZZ_CERTIFICATES = [
+    [],
+    [{"direction": "bwd"}],
+    certificate_to_json([CertificateStep(shrink_by_pair_insertions([8], [[4]]), None, "fwd")]),
+]
+
+
+def _locations(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def fuzzed(draw, base):
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(0, 2))):
+        path, junk = draw(st.sampled_from(list(_locations(doc)))), draw(JUNK)
+        junk = junk if junk is DROP else copy.deepcopy(junk)  # later edits may reach inside
+        if not path:
+            doc = None if junk is DROP else junk
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if junk is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = junk
+    return doc
+
+
+@st.composite
+def digraph_documents(draw):
+    n = draw(st.integers(1, 4))
+    pairs = [(str(u), str(v)) for u in range(n) for v in range(n) if u != v]
+    arrows = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return {"vertices": [str(v) for v in range(n)], "arrows": [list(a) for a in arrows]}
+
+
+def fuzz_grid_maps():
+    loop = winding_json()
+    square = GridMap((standard_line(2),) * 2, ("0",) * 9, loop.target, "pair", "0")
+    line = GridMap((standard_line(2),), ("0", "1", "2"), loop.target, "absolute")
+    return [grid_map_to_json(f) for f in (loop, square, line)]
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv with FILE placeholders, {placeholder: document})."""
+    g = draw(digraph_documents())
+    kept = g["vertices"][: draw(st.integers(1, len(g["vertices"])))]
+    s = {"vertices": kept, "arrows": [a for a in g["arrows"] if set(a) <= set(kept)]}
+    maps = fuzz_grid_maps()
+    docs = {
+        "G": draw(fuzzed(g)),
+        "S": draw(fuzzed(s)),
+        "M": draw(fuzzed(draw(st.sampled_from(maps)))),
+        "N": draw(fuzzed(draw(st.sampled_from(maps)))),
+        "C": draw(fuzzed(draw(st.sampled_from(FUZZ_CERTIFICATES)))),
+        "P": draw(fuzzed({"ambient": draw(st.sampled_from(["G.json", g])), "sub": "S.json"})),
+    }
+    dim = str(draw(st.integers(0, 2)))
+    theory = draw(st.sampled_from(["path", "cubical"]))
+    flags = draw(st.sets(st.sampled_from(["--reduced", "--json", "--show-chain", "--relative"])))
+    argv = draw(
+        st.sampled_from(
+            [
+                ["homology", "G", "--dim", dim, "--theory", theory]
+                + ["--relative", "S"] * ("--relative" in flags)
+                + sorted(flags & {"--reduced", "--json"}),
+                ["compare", "G", "--dim", dim] + sorted(flags & {"--json"}),
+                ["hurewicz", "M"] + sorted(flags - {"--reduced"}),
+                ["verify", "certificate", "M", "N", "C"],
+                ["verify", "exactness", "P", "--theory", theory, "--maxdim", dim],
+                ["build", draw(st.sampled_from(["cone", "suspend"])), "G", "--times", dim],
+                ["build", "boxprod", "G", "S"],
+            ]
+        )
+    )
+    return argv, docs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cli_runs())
+def test_cli_fuzz_gives_an_exit_code_and_one_error_line(run):
+    argv, docs = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            (Path(tmp) / f"{name}.json").write_text(json.dumps(doc))
+        argv = [str(Path(tmp) / f"{a}.json") if a in docs else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in range(6), argv
+    if code:
+        assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -5,15 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digraph_homology.chains import NotACycleError, suspension_composite
+from digraph_homology import chains, cubes, paths
+from digraph_homology.chains import BoundExceededError, NotACycleError, suspension_composite
+from digraph_homology.cli import main
 from digraph_homology.digraphs import (
     DigraphMap,
+    box_product,
     build_digraph,
     cone,
     cycle_digraph,
+    digraph_to_json,
     inclusion_map,
+    relabel_to_strings,
+    standard_line,
     suspension,
 )
+from digraph_homology.grids import GridMap, glmy_hurewicz, grid_map_to_json
 from digraph_homology.intlinalg import AbelianGroup, Echelon
 from digraph_homology.paths import (
     PathChain,
@@ -22,6 +30,7 @@ from digraph_homology.paths import (
     build_omega_complex,
     build_omega_pair,
     path_homology,
+    path_suspension_map,
     is_regular,
     regular_boundary,
     suspension_cycle,
@@ -273,3 +282,69 @@ def test_boundary_faces_match_the_regularity_filter():
         for path in filter(is_regular, product(range(3), repeat=length)):
             faces = [(path[:i] + path[i + 1 :], (-1) ** i) for i in range(length)]
             assert _boundary_faces(path) == [(f, s) for f, s in faces if is_regular(f)]
+
+
+def test_every_path_entry_point_is_bounded_by_the_path_count(tmp_path, monkeypatch, capsys):
+    # C4□C4 has 16, 32, 64 and 128 allowed paths in degrees 0 to 3, and its
+    # suspension 128 in degree 2; cold caches, so each call enumerates them
+    build_omega_complex.cache_clear()
+    build_omega_pair.cache_clear()
+    monkeypatch.setattr(paths, "PATH_BOUND", 100)
+    box = relabel_to_strings(box_product(cycle_digraph(4), cycle_digraph(4)))
+    keep = [v for v in box.vertices if not v.endswith("3)")]
+    sub = build_digraph(keep, [(u, v) for u, v in box.arrows if u in keep and v in keep])
+    loop = PathChain(1, {(f"({i},0)", f"({(i + 1) % 4},0)"): 1 for i in range(4)})
+    square = GridMap((standard_line(2),) * 2, (box.vertices[0],) * 9, box, "pair", box.vertices[0])
+    calls = [
+        (lambda: allowed_paths(box, 3), 3),
+        (lambda: build_omega_complex(box, 3), 3),
+        (lambda: build_omega_pair(box, sub, 3), 3),
+        (lambda: path_homology(box, 2), 3),
+        (lambda: path_suspension_map(box, 0), 2),
+        (lambda: suspension_cycle(loop, box), 2),
+        (lambda: glmy_hurewicz(square), 3),
+    ]
+    for call, degree in calls:
+        refused = f"^degree {degree} has more than 100 allowed paths$"
+        with pytest.raises(BoundExceededError, match=refused):
+            call()
+
+    documents = {
+        "box": digraph_to_json(box),
+        "pair": {"ambient": "box.json", "sub": digraph_to_json(sub)},
+        "square": grid_map_to_json(square),
+    }
+    for name, document in documents.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(document))
+    box_file, pair_file, square_file = (str(tmp_path / f"{name}.json") for name in documents)
+    commands = [
+        ["homology", box_file, "--dim", "2"],
+        ["compare", box_file, "--dim", "2"],
+        ["hurewicz", square_file],
+        ["verify", "exactness", pair_file, "--theory", "path", "--maxdim", "2"],
+    ]
+    for argv in commands:
+        assert main(argv) == 3, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: degree 3 has more than 100 allowed paths\n"
+
+    # a refused degree stores nothing, so a warm complex refuses it again
+    build_omega_complex.cache_clear()
+    oc = build_omega_complex(box, 2)
+    groups = [path_homology(box, n) for n in range(2)]
+    allowed = dict(oc.allowed)
+    for _ in range(2):
+        for call in (
+            lambda: oc.complex.homology(2),
+            lambda: path_homology(box, 2),
+            lambda: build_omega_complex(box, 3),
+        ):
+            with pytest.raises(BoundExceededError, match="^degree 3 has more than 100 allowed"):
+                call()
+    # every degree below the refused one, and its group, is still there
+    assert build_omega_complex(box, 2) is oc
+    assert oc.allowed == allowed and sorted(allowed) == [0, 1, 2]
+    assert [path_homology(box, n) for n in range(2)] == groups
+    assert groups == [AbelianGroup(1), AbelianGroup(2)]
+    assert cubes.BoundExceededError is chains.BoundExceededError
