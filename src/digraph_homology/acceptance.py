@@ -326,14 +326,11 @@ def criterion_11(seed: int = 0) -> CriterionResult:
     failures = 0
     for _ in range(50):
         g = random_digraph(rng, max_vertices=5, max_arrows=8)
-        try:
-            build_omega_complex(g, 3).complex.check_square_zero()
-        except Exception:
-            failures += 1
-        try:
-            build_cubical_complex(g, 3).complex.check_square_zero()
-        except Exception:
-            failures += 1
+        for build_complex in (build_omega_complex, build_cubical_complex):
+            try:
+                build_complex(g, 3).complex.check_square_zero()
+            except Exception:
+                failures += 1
     return _result(
         11, "boundary squared vanishes in both theories", failures == 0,
         f"50 digraphs, {failures} failures", t0,

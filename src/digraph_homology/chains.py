@@ -2,11 +2,11 @@
 groups, complex pairs, and long-exact-sequence machinery, with everything
 that path and cubical homology share: formal-sum chains, the complex of a
 digraph with its homology and classes, the pair of a digraph and a
-subdigraph, and the suspension homomorphism.
+subdigraph, and `Theory`, each theory's entry points written once.
 
-The suspension homomorphism E: H_n(x) -> H_{n+1}(Sx) (reduced at n = 0)
-is `suspension_map`: the class of each source generator's suspension
-cycle, which a theory gives as a chain-level `suspend`.  The long exact
+A `Theory` is a `DigraphComplex` class and a chain-level `suspend`; its
+suspension homomorphism E: H_n(x) -> H_{n+1}(Sx) (reduced at n = 0) is
+the class of each source generator's suspension cycle.  The long exact
 sequence route through the cone pairs, `suspension_composite`, computes
 the same map independently and is kept as its oracle.
 
@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from collections import ChainMap
 from copy import copy
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial, wraps
 from typing import Callable, Optional, Sequence
 
-from .digraphs import require_subdigraph
+from .digraphs import require_subdigraph, suspension
 from .intlinalg import (
     AbelianGroup,
     Cokernel,
@@ -590,21 +590,98 @@ class DigraphPair(Reducible):
         return self.pair.quotient_class(*self.ambient.chain_vector(chain))
 
 
-def suspension_map(
-    x: DigraphComplex, sx: DigraphComplex, n: int, suspend: Callable[[Chain], Chain]
-) -> GroupMap:
-    """The suspension homomorphism H_n(x) -> H_{n+1}(Sx), reduced at n = 0:
-    the j-th column is the class of `suspend(z_j)`, where z_j represents the
-    j-th generator of the source and `suspend` is a theory's chain-level
-    suspension of cycles.  `chain_vector` raises if a suspended cycle leaves
-    the chains of Sx, and `hom_map` if it is not a cycle there."""
-    source = (x.reduced if n == 0 else x).complex.homology(n)
-    target = sx.complex.homology(n + 1)
-    images = [
-        sx.chain_vector(suspend(x.coords_to_chain(n, source.representative(j))))[1]
-        for j in range(source.n_generators)
-    ]
-    return hom_map(source, target, images)
+CACHE_SIZE = 64
+
+
+class Theory:
+    """One homology theory of digraphs, written once for both: a
+    `DigraphComplex` class and its chain-level suspension
+    `suspend(z, sx, apex_a, apex_b)`, which takes a degree-n chain z of x
+    to the degree-(n + 1) chain of the suspension sx of x, unchecked.
+
+    `names` gives the theory's public names of `build_complex`,
+    `build_pair`, `homology`, `suspension_cycle` and `suspension_map`, in
+    that order; each is bound once, as a function of that name in the
+    module of `complex_cls`.  It keeps the last `CACHE_SIZE` complexes, one
+    per digraph, and the last `CACHE_SIZE` pairs, one per pair of cached
+    complexes, so a pair always holds the cached complexes of its digraphs;
+    `build_complex` and `build_pair` carry their cache's `cache_info` and
+    `cache_clear`.
+    """
+
+    def __init__(self, complex_cls: type, suspend: Callable, names: str):
+        self.suspend = suspend
+        self._complexes = lru_cache(maxsize=CACHE_SIZE)(complex_cls)
+        self._pairs = lru_cache(maxsize=CACHE_SIZE)(DigraphPair)
+        methods = ("build_complex", "build_pair", "homology", "suspension_cycle", "suspension_map")
+        for method, name in zip(methods, names.split(), strict=True):
+            setattr(self, method, _entry_point(getattr(self, method), name, complex_cls.__module__))
+        for builder, cache in ((self.build_complex, self._complexes), (self.build_pair, self._pairs)):
+            builder.cache_info, builder.cache_clear = cache.cache_info, cache.cache_clear
+
+    def build_complex(self, g, maxdeg: int, reduced: bool = False) -> DigraphComplex:
+        """The complex of g (one per digraph, cached) grown to maxdeg, or its reduced view."""
+        c = self._complexes(g)
+        c.complex.grow(maxdeg)
+        return c.reduced if reduced else c
+
+    def build_pair(self, g, a, maxdeg: int, reduced: bool = False) -> DigraphPair:
+        """The pair (g, a) (one per pair, cached) grown to maxdeg, or its reduced view."""
+        pair = self._pairs(self._complexes(g), self._complexes(a))
+        pair.pair.grow(maxdeg)
+        return pair.reduced if reduced else pair
+
+    def homology(self, g, n: int, relative_to=None, reduced: bool = False) -> AbelianGroup:
+        """H_n(g) or H_n(g, relative_to) over the integers."""
+        if n < 0:
+            raise ValueError("negative degree")
+        if relative_to is None:
+            return self.build_complex(g, n + 1, reduced).homology(n)
+        return self.build_pair(g, relative_to, n + 1, reduced).homology(n)
+
+    def suspension_cycle(self, z: Chain, x, apex_a="+a", apex_b="+b") -> Chain:
+        """The chain-level suspension of a degree-n cycle z of x (reduced at
+        n = 0), verified to be a cycle of the suspension; its class is the
+        suspension map applied to [z].  `NotACycleError` if z is not a
+        chain of x or not a cycle."""
+        n = z.degree
+        cx = self.build_complex(x, n, n == 0)
+        if cx.complex.boundary_of(n, cx.chain_vector(z)[1]):
+            raise NotACycleError(f"chain is not a cycle in degree {n}")
+        sx = suspension(x, apex_a, apex_b)
+        out = self.suspend(z, sx, apex_a, apex_b)
+        csx = self.build_complex(sx, n + 1)
+        if csx.complex.boundary_of(n + 1, csx.chain_vector(out)[1]):
+            raise AssertionError("suspension cycle has nonzero boundary")
+        return out
+
+    def suspension_map(self, x, n: int, apex_a="+a", apex_b="+b") -> GroupMap:
+        """The suspension homomorphism H_n(x) -> H_{n+1}(Sx), reduced at
+        n = 0: the j-th column is the class of the suspension of z_j, where
+        z_j represents the j-th generator of the source.  `chain_vector`
+        raises if a suspended cycle leaves the chains of Sx, and `hom_map`
+        if it is not a cycle there."""
+        sx = suspension(x, apex_a, apex_b)
+        cx = self.build_complex(x, n + 1, n == 0)
+        csx = self.build_complex(sx, n + 2)
+        source, target = cx.complex.homology(n), csx.complex.homology(n + 1)
+        images = []
+        for j in range(source.n_generators):
+            z = cx.coords_to_chain(n, source.representative(j))
+            images.append(csx.chain_vector(self.suspend(z, sx, apex_a, apex_b))[1])
+        return hom_map(source, target, images)
+
+
+def _entry_point(method: Callable, name: str, module: str) -> Callable:
+    """`method` as a function called `name` in `module`."""
+
+    @wraps(method)
+    def entry(*args, **kwargs):
+        return method(*args, **kwargs)
+
+    entry.__name__ = entry.__qualname__ = name
+    entry.__module__ = module
+    return entry
 
 
 def suspension_composite(cone_pair: DigraphPair, susp_pair: DigraphPair, n: int) -> GroupMap:
@@ -612,7 +689,7 @@ def suspension_composite(cone_pair: DigraphPair, susp_pair: DigraphPair, n: int)
     (quotient map)^-1 after (pair map) after (connecting map)^-1, through
     the cone pair (C^+x, x) and the suspension pair (Sx, C^-x).  The pair
     map is induced by the inclusion of C^+x into Sx, read through chains.
-    It never reads a suspension cycle, so it checks `suspension_map`.
+    It never reads a suspension cycle, so it checks `Theory.suspension_map`.
 
     At n = 0 the connecting map is only invertible against the augmented
     degree-0 group, so the composite runs through the reduced pairs and

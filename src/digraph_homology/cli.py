@@ -4,14 +4,16 @@ Commands: `homology` (path or cubical, absolute or relative, optionally
 reduced), `build` (cone / suspend / boxprod pipelines), `hurewicz`
 (classes of a grid map), `compare` (the cubical-to-path comparison
 matrix), and `verify` (certificates, long-exact-sequence exactness, and
-the built-in verification suite).
+the built-in verification suite).  `--theory` picks one of `THEORIES`,
+the two `chains.Theory` objects.
 
 Exit codes: 0 success, 1 failed verification, 2 parse error, 3 bound
 exceeded (a degree with more than `paths.PATH_BOUND` allowed paths or
 `cubes.CUBE_BOUND` singular cubes, refused by `main` whichever command
-asked for it), 4 invalid subdigraph, 5 invalid grid map (for `hurewicz`,
-also a map without a class: 0-dimensional, or a cell chain that is no
-cycle).
+asked for it, or a `build` result with more than `paths.PATH_BOUND`
+arrows, counted before it is built), 4 invalid subdigraph, 5 invalid grid
+map (for `hurewicz`, also a map without a class: 0-dimensional, or a cell
+chain that is no cycle).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from .chains import BoundExceededError, NotACycleError, verify_exactness
-from .cubes import build_cubical_pair, comparison_L, cubical_homology
+from .cubes import CUBICAL, comparison_L
 from .digraphs import (
     Digraph,
     DigraphError,
@@ -48,7 +50,7 @@ from .grids import (
     verify_homotopy_certificate,
 )
 from .intlinalg import AbelianGroup
-from .paths import build_omega_pair, path_homology
+from .paths import PATH, PATH_BOUND
 
 EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
@@ -56,8 +58,7 @@ EXIT_BOUND = 3
 EXIT_SUBDIGRAPH = 4
 EXIT_GRIDMAP = 5
 
-HOMOLOGY = {"path": path_homology, "cubical": cubical_homology}
-PAIR_BUILDERS = {"path": build_omega_pair, "cubical": build_cubical_pair}
+THEORIES = {"path": PATH, "cubical": CUBICAL}
 
 
 class CliError(Exception):
@@ -111,7 +112,7 @@ def cmd_homology(args) -> int:
         if not is_subdigraph(rel, g):
             raise CliError("the relative file is not a subdigraph of the input", EXIT_SUBDIGRAPH)
     try:
-        group = HOMOLOGY[args.theory](g, args.dim, rel, args.reduced)
+        group = THEORIES[args.theory].homology(g, args.dim, rel, args.reduced)
     except NotASubdigraphError as exc:
         raise CliError(str(exc), EXIT_SUBDIGRAPH)
     print(_group_report(f"H_{args.dim}", group, args.json))
@@ -121,25 +122,26 @@ def cmd_homology(args) -> int:
 def cmd_build(args) -> int:
     if args.times < 0:
         raise CliError(f"--times must be non-negative, got {args.times}", EXIT_PARSE)
+    if args.op == "boxprod" and len(args.inputs) < 2:
+        raise CliError("boxprod needs two inputs", EXIT_PARSE)
+    files = args.inputs if args.op == "boxprod" else args.inputs[:1]
+    inputs = [_load_digraph(path) for path in files]
+    arrows = _arrow_count(args.op, inputs, args.times)
+    if arrows > PATH_BOUND:
+        raise BoundExceededError(
+            f"the result has {arrows} arrows: degree 1 has more than {PATH_BOUND} allowed paths"
+        )
+    out = inputs[0]
     try:
         if args.op == "cone":
-            g = _load_digraph(args.inputs[0])
-            out = g
             for _ in range(args.times):
                 out = cone(out, _fresh_label(out, "+a"))
         elif args.op == "suspend":
-            g = _load_digraph(args.inputs[0])
-            out = g
             for _ in range(args.times):
                 out = suspension(out, _fresh_label(out, "+a"), _fresh_label(out, "+b"))
-        elif args.op == "boxprod":
-            if len(args.inputs) < 2:
-                raise CliError("boxprod needs two inputs", EXIT_PARSE)
-            out = _load_digraph(args.inputs[0])
-            for path in args.inputs[1:]:
-                out = relabel_to_strings(box_product(out, _load_digraph(path)))
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(f"unknown build op {args.op}", EXIT_PARSE)
+        else:
+            for h in inputs[1:]:
+                out = relabel_to_strings(box_product(out, h))
     except DigraphError as exc:
         raise CliError(str(exc), EXIT_PARSE)
     payload = json.dumps(digraph_to_json(relabel_to_strings(out)), indent=2)
@@ -148,6 +150,18 @@ def cmd_build(args) -> int:
     else:
         print(payload)
     return 0
+
+
+def _arrow_count(op: str, inputs: list, times: int) -> int:
+    """The arrow count of what `build` makes, in closed form, before it is built."""
+    v, a = len(inputs[0].vertices), len(inputs[0].arrows)
+    if op == "cone":  # the i-th cone joins v + i vertices to its apex
+        return a + times * v + times * (times - 1) // 2
+    if op == "suspend":  # the i-th suspension joins v + 2i vertices to two apexes
+        return a + 2 * times * v + 2 * times * (times - 1)
+    for h in inputs[1:]:
+        v, a = v * len(h.vertices), a * len(h.vertices) + v * len(h.arrows)
+    return a
 
 
 def _fresh_label(g: Digraph, stem: str) -> str:
@@ -248,7 +262,7 @@ def cmd_verify(args) -> int:
         sub = _load_entry(data["sub"], base_dir, "subdigraph")
         if not is_subdigraph(sub, ambient):
             raise CliError("'sub' is not a subdigraph of 'ambient'", EXIT_SUBDIGRAPH)
-        pair = PAIR_BUILDERS[args.theory](ambient, sub, args.maxdim + 1)
+        pair = THEORIES[args.theory].build_pair(ambient, sub, args.maxdim + 1)
         ok = verify_exactness(pair.pair.les_maps(args.maxdim))
         print("PASS" if ok else "FAIL")
         return 0 if ok else EXIT_VERIFY_FAILED

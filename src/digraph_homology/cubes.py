@@ -4,8 +4,9 @@ A singular n-cube is a digraph map from the n-fold box power of the
 single arrow 0 -> 1 into the target.  Cube values are stored flat over
 {0,1}^n in binary-counter order (first coordinate most significant).
 Degenerate cubes (constant along some axis) span the subcomplex that is
-quotiented away.  Relative homology comes from the pair of the complexes
-of a digraph and of a subdigraph.
+quotiented away.  `CUBICAL`, the `chains.Theory` of the complex and its
+chain-level suspension, gives the cached builders, absolute and relative
+homology, and the suspension cycle and homomorphism.
 
 The cost of a degree is its number of singular cubes, which neither the
 degree nor the vertex count predicts: S^2 C4 has 8 vertices and over
@@ -21,32 +22,20 @@ unit grid's generator, so faces, degeneracy tests and `iota` images are
 tuple gathers from a cube's values.
 
 Also houses the corner-to-corner generator of the unit grid's allowed
-chains, the induced chain map into path chains, the comparison map from
-cubical to path homology built from it, and the cubical suspension cycle
-with the suspension homomorphism read from it.
+chains, the induced chain map into path chains, and the comparison map
+from cubical to path homology built from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import count, permutations
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .chains import (
-    BoundExceededError,
-    Chain,
-    ChainComplex,
-    DigraphComplex,
-    DigraphPair,
-    GroupMap,
-    NotACycleError,
-    hom_map,
-    suspension_map,
-)
-from .digraphs import Digraph, suspension
-from .intlinalg import AbelianGroup
+from .chains import BoundExceededError, Chain, ChainComplex, DigraphComplex, GroupMap, Theory, hom_map
+from .digraphs import Digraph
 from .paths import PathChain, build_omega_complex, is_regular
 
 
@@ -356,44 +345,31 @@ class CubicalComplex(DigraphComplex):
         return [{index[v]: 1} for v in sub.basis[n]]
 
 
-_cubical_complex = lru_cache(maxsize=64)(CubicalComplex)
+def _suspend(z: CubicalChain, sx: Digraph, apex_a, apex_b) -> CubicalChain:
+    """C_b z - C_a z for a degree-n chain z, unchecked.  C_p sends a cube to
+    its cone with p along a new first axis: values + (p,) * 2^n.  The face
+    signs (-1)^(i+k) give d(C_p s) = -s - C_p(ds) modulo degenerate cubes
+    (plus the vertex p at n = 0), so it takes cycles to cycles."""
+    n = z.degree
+    terms = {}
+    for apex, sign in ((apex_b, 1), (apex_a, -1)):
+        tail = (apex,) * 2**n
+        for cube, coeff in z.terms.items():
+            terms[SingularCube(n + 1, cube.values + tail, sx)] = sign * coeff
+    return CubicalChain(n + 1, terms)
 
 
-def build_cubical_complex(g: Digraph, maxdim: int, reduced: bool = False) -> CubicalComplex:
-    """The complex of g (one per digraph, cached) grown to maxdim, or its reduced view."""
-    cc = _cubical_complex(g).grow(maxdim)
-    return cc.reduced if reduced else cc
-
-
-build_cubical_complex.cache_info = _cubical_complex.cache_info
-build_cubical_complex.cache_clear = _cubical_complex.cache_clear
-
-
-def cubical_homology(
-    g: Digraph, n: int, relative_to: Optional[Digraph] = None, reduced: bool = False
-) -> AbelianGroup:
-    """Cubical homology H_n(g) or H_n(g, relative_to) over the integers."""
-    if n < 0:
-        raise ValueError("negative degree")
-    if relative_to is None:
-        return build_cubical_complex(g, n + 1, reduced).homology(n)
-    return build_cubical_pair(g, relative_to, n + 1, reduced).homology(n)
-
-
-@lru_cache(maxsize=64)
-def _cubical_pair(g: Digraph, a: Digraph) -> DigraphPair:
-    return DigraphPair(_cubical_complex(g), _cubical_complex(a))
-
-
-def build_cubical_pair(g: Digraph, a: Digraph, maxdim: int, reduced: bool = False) -> DigraphPair:
-    """The pair (g, a) (one per pair, cached) grown to maxdim, or its reduced view."""
-    pair = _cubical_pair(g, a)
-    pair.pair.grow(maxdim)
-    return pair.reduced if reduced else pair
-
-
-build_cubical_pair.cache_info = _cubical_pair.cache_info
-build_cubical_pair.cache_clear = _cubical_pair.cache_clear
+CUBICAL = Theory(
+    CubicalComplex,
+    _suspend,
+    "build_cubical_complex build_cubical_pair cubical_homology"
+    " cubical_suspension_cycle cubical_suspension_map",
+)
+build_cubical_complex = CUBICAL.build_complex
+build_cubical_pair = CUBICAL.build_pair
+cubical_homology = CUBICAL.homology
+cubical_suspension_cycle = CUBICAL.suspension_cycle
+cubical_suspension_map = CUBICAL.suspension_map
 
 
 # --- comparison with path homology ------------------------------------------
@@ -455,59 +431,8 @@ def comparison_L(g: Digraph, n: int, reduced: bool = False) -> GroupMap:
     oc = build_omega_complex(g, n + 1, reduced)
     hd_c = cc.complex.homology(n)
     hd_p = oc.complex.homology(n)
-    images = []
-    for j in range(hd_c.n_generators):
-        chain = cc.coords_to_chain(n, hd_c.representative(j))
-        pc = iota(chain)
-        coords = oc.lattice_coords(pc)
-        if coords is None:
-            raise AssertionError("comparison image left the allowed-boundary lattice")
-        images.append(coords)
+    images = [
+        oc.chain_vector(iota(cc.coords_to_chain(n, hd_c.representative(j))))[1]
+        for j in range(hd_c.n_generators)
+    ]
     return hom_map(hd_c, hd_p, images)
-
-
-# --- suspension ---------------------------------------------------------------
-
-
-def _suspend(z: CubicalChain, target: Digraph, apex_a, apex_b) -> CubicalChain:
-    """C_b z - C_a z for a degree-n chain z, unchecked.  C_p sends a cube to
-    its cone with p along a new first axis: values + (p,) * 2^n."""
-    n = z.degree
-    terms = {}
-    for apex, sign in ((apex_b, 1), (apex_a, -1)):
-        tail = (apex,) * 2**n
-        for cube, coeff in z.terms.items():
-            terms[SingularCube(n + 1, cube.values + tail, target)] = sign * coeff
-    return CubicalChain(n + 1, terms)
-
-
-def cubical_suspension_cycle(
-    z: CubicalChain, x: Digraph, apex_a="+a", apex_b="+b"
-) -> CubicalChain:
-    """Chain-level cubical suspension of a cycle z of x (reduced at n = 0):
-    C_b z - C_a z, where C_p puts the cone to p on a new first axis.  The
-    face signs (-1)^(i+k) give d(C_p s) = -s - C_p(ds) modulo degenerate
-    cubes (plus the vertex p at n = 0), so the result, verified, is a cycle
-    of the suspension; its class is the suspension map applied to [z]."""
-    n = z.degree
-    cx = build_cubical_complex(x, n, reduced=(n == 0))
-    if cx.complex.boundary_of(n, cx.chain_vector(z)[1]):
-        raise NotACycleError(f"chain is not a cycle in degree {n}")
-    sx = suspension(x, apex_a, apex_b)
-    out = _suspend(z, sx, apex_a, apex_b)
-    csx = build_cubical_complex(sx, n + 1)
-    if csx.complex.boundary_of(n + 1, csx.chain_vector(out)[1]):
-        raise AssertionError("suspension cycle has nonzero boundary")
-    return out
-
-
-def cubical_suspension_map(x: Digraph, n: int, apex_a="+a", apex_b="+b") -> GroupMap:
-    """The cubical suspension homomorphism H^c_n(x) -> H^c_{n+1}(suspension)
-    (reduced at n = 0) by `chains.suspension_map`: the class of the cycle
-    C_b z - C_a z of each generator z, since d(C_p s) = -s - C_p(ds) modulo
-    degenerate cubes."""
-    sx = suspension(x, apex_a, apex_b)
-    csx = build_cubical_complex(sx, n + 2)
-    cx = build_cubical_complex(x, n + 1)
-    suspend = partial(_suspend, target=sx, apex_a=apex_a, apex_b=apex_b)
-    return suspension_map(cx, csx, n, suspend)

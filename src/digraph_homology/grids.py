@@ -868,7 +868,12 @@ def grid_map_from_json(data: dict, target: Optional[Digraph] = None) -> GridMap:
         if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise GridError(f"axis length must be a non-negative integer, got {m!r}")
         pattern = ax.get("pattern", "standard")
+        if not isinstance(pattern, str):
+            raise GridError(f"axis pattern must be a string, got {type(pattern).__name__}")
         axes.append(standard_line(m) if pattern == "standard" else LineSpec(m, pattern))
+    values = data["values"]
+    if not isinstance(values, list):
+        raise GridError(f"grid-map values must be a list, got {type(values).__name__}")
     if target is None:
         raw = data.get("target")
         if not isinstance(raw, dict):
@@ -878,7 +883,7 @@ def grid_map_from_json(data: dict, target: Optional[Digraph] = None) -> GridMap:
     base = data.get("base")
     return GridMap(
         tuple(axes),
-        tuple(str(v) for v in data["values"]),
+        tuple(str(v) for v in values),
         target,
         data.get("mode", "absolute"),
         None if base is None else str(base),

@@ -1,10 +1,10 @@
 """Path homology of digraphs over the integers.
 
 Allowed paths, the regular boundary (faces with equal adjacent vertices
-vanish), the complex of allowed chains whose boundary stays allowed, and
-absolute/relative path homology.  Also the chain-level suspension cycle
-construction and the suspension homomorphism as the classes of suspension
-cycles.
+vanish), and the complex of allowed chains whose boundary stays allowed,
+with its chain-level suspension.  `PATH`, the `chains.Theory` of the two,
+gives the cached builders, absolute and relative path homology, and the
+suspension cycle and homomorphism.
 
 The cost of a degree is its number of allowed paths, which grows like the
 arrow count to the power of the degree.  Enumeration refuses a degree with
@@ -14,21 +14,11 @@ builds any of them, whoever asks for the degree.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
 from typing import Optional, Sequence
 
-from .chains import (
-    BoundExceededError,
-    Chain,
-    ChainComplex,
-    DigraphComplex,
-    DigraphPair,
-    GroupMap,
-    NotACycleError,
-    suspension_map,
-)
-from .digraphs import Digraph, suspension
-from .intlinalg import AbelianGroup, Echelon, combination, kernel_echelon
+from .chains import BoundExceededError, Chain, ChainComplex, DigraphComplex, NotACycleError, Theory
+from .digraphs import Digraph
+from .intlinalg import Echelon, combination, kernel_echelon
 
 PATH_BOUND = 500_000
 
@@ -82,14 +72,20 @@ def allowed_paths(g: Digraph, n: int) -> list[tuple]:
     """
     if n < 0:
         raise ValueError("negative path length")
-    succ = {v: g.out_neighbors(v) for v in g.vertices}
-    outdeg = {v: len(ws) for v, ws in succ.items()}
     paths = [(v,) for v in g.vertices]
     for k in range(1, n + 1):
-        if sum(outdeg[p[-1]] for p in paths) > PATH_BOUND:
-            raise BoundExceededError(f"degree {k} has more than {PATH_BOUND} allowed paths")
-        paths = [p + (w,) for p in paths for w in succ[p[-1]]]
+        paths = _extend(g, paths, k)
     return paths
+
+
+def _extend(g: Digraph, paths: list[tuple], k: int) -> list[tuple]:
+    """The allowed k-paths, from the allowed (k - 1)-paths in order: counted
+    against `PATH_BOUND`, then extended by the out-neighbours of each last
+    vertex."""
+    succ = {v: g.out_neighbors(v) for v in g.vertices}
+    if sum(len(succ[p[-1]]) for p in paths) > PATH_BOUND:
+        raise BoundExceededError(f"degree {k} has more than {PATH_BOUND} allowed paths")
+    return [p + (w,) for p in paths for w in succ[p[-1]]]
 
 
 def _boundary_faces(path: tuple) -> list[tuple[tuple, int]]:
@@ -142,11 +138,13 @@ class OmegaComplex(DigraphComplex):
 
     def grow(self, maxdeg: int) -> "OmegaComplex":
         """Build every degree up to maxdeg that is not built yet.  A degree
-        over `PATH_BOUND` raises `BoundExceededError` from `allowed_paths`
-        before anything of it is stored, so it is refused again on every
-        later request, and the degrees below it stay built."""
+        over `PATH_BOUND` raises `BoundExceededError` before anything of it
+        is stored, so it is refused again on every later request, and the
+        degrees below it stay built.  Degree n extends the allowed paths of
+        degree n - 1."""
+        g = self.digraph
         for n in range(len(self.allowed), maxdeg + 1):
-            paths = allowed_paths(self.digraph, n)
+            paths = _extend(g, self.allowed[n - 1], n) if n else allowed_paths(g, 0)
             below_index = self.path_index.get(n - 1, {})
             # each path's faces, once: the allowed ones as (row below, sign),
             # the others as a column over the non-allowed faces
@@ -220,101 +218,24 @@ class OmegaComplex(DigraphComplex):
         return PathChain(n, {paths[i]: c for i, c in terms.items()})
 
     def inclusion_cols(self, sub: "OmegaComplex", n: int) -> list:
-        chains = (sub.basis_chain(n, j) for j in range(sub.rank(n)))
-        cols = [self.lattice_coords(chain) for chain in chains]
-        if None in cols:
-            raise AssertionError("sub lattice does not embed; invariant broken")
-        return cols
+        return [self.chain_vector(sub.basis_chain(n, j))[1] for j in range(sub.rank(n))]
 
 
-_omega_complex = lru_cache(maxsize=128)(OmegaComplex)
-
-
-def build_omega_complex(g: Digraph, maxdeg: int, reduced: bool = False) -> OmegaComplex:
-    """The complex of g (one per digraph, cached) grown to maxdeg, or its reduced view."""
-    oc = _omega_complex(g).grow(maxdeg)
-    return oc.reduced if reduced else oc
-
-
-build_omega_complex.cache_info = _omega_complex.cache_info
-build_omega_complex.cache_clear = _omega_complex.cache_clear
-
-
-@lru_cache(maxsize=64)
-def _omega_pair(g: Digraph, a: Digraph) -> DigraphPair:
-    return DigraphPair(_omega_complex(g), _omega_complex(a))
-
-
-def build_omega_pair(g: Digraph, a: Digraph, maxdeg: int, reduced: bool = False) -> DigraphPair:
-    """The pair (g, a) (one per pair, cached) grown to maxdeg, or its reduced view."""
-    pair = _omega_pair(g, a)
-    pair.pair.grow(maxdeg)
-    return pair.reduced if reduced else pair
-
-
-build_omega_pair.cache_info = _omega_pair.cache_info
-build_omega_pair.cache_clear = _omega_pair.cache_clear
-
-
-def path_homology(
-    g: Digraph, n: int, relative_to: Optional[Digraph] = None, reduced: bool = False
-) -> AbelianGroup:
-    """Path homology H_n(g) or H_n(g, relative_to) over the integers."""
-    if n < 0:
-        raise ValueError("negative degree")
-    if relative_to is None:
-        return build_omega_complex(g, n + 1, reduced).homology(n)
-    return build_omega_pair(g, relative_to, n + 1, reduced).homology(n)
-
-
-def append_vertex(chain: PathChain, v) -> PathChain:
-    """The chain whose paths are those of `chain` with `v` appended."""
-    return PathChain(
-        chain.degree + 1, {path + (v,): coeff for path, coeff in chain.terms.items()}
-    )
-
-
-def _suspend(z: PathChain, apex_a, apex_b) -> PathChain:
+def _suspend(z: PathChain, sx: Digraph, apex_a, apex_b) -> PathChain:
     """(-1)^(n+1) * (z.a - z.b) for a degree-n chain z, unchecked."""
     sign = -1 if (z.degree + 1) % 2 else 1
-    return (append_vertex(z, apex_a) - append_vertex(z, apex_b)).scale(sign)
+    terms = {path + (apex_a,): sign * c for path, c in z.terms.items()}
+    terms.update({path + (apex_b,): -sign * c for path, c in z.terms.items()})
+    return PathChain(z.degree + 1, terms)
 
 
-def suspension_cycle(
-    z: PathChain, x: Digraph, apex_a="+a", apex_b="+b"
-) -> PathChain:
-    """Chain-level suspension of a cycle: (-1)^(n+1) * (z.a - z.b).
-
-    Requires z to be a cycle in the degree-n allowed-boundary lattice of
-    x; the result is verified to be a cycle of the suspension, and its
-    class realizes the suspension homomorphism applied to [z].
-    """
-    n = z.degree
-    oc = build_omega_complex(x, n)
-    if oc.lattice_coords(z) is None:
-        raise NotACycleError("chain does not lie in the allowed-boundary lattice")
-    if n == 0:
-        if sum(z.terms.values()) != 0:
-            raise NotACycleError("a degree-0 chain must sum to zero (reduced cycle)")
-    elif not regular_boundary(z).is_zero():
-        raise NotACycleError("chain is not a cycle")
-    out = _suspend(z, apex_a, apex_b)
-    sx = suspension(x, apex_a, apex_b)
-    oc_sx = build_omega_complex(sx, n + 1)
-    if oc_sx.lattice_coords(out) is None:
-        raise AssertionError("suspension cycle left the allowed-boundary lattice")
-    if not regular_boundary(out).is_zero():
-        raise AssertionError("suspension cycle has nonzero boundary")
-    return out
-
-
-def path_suspension_map(x: Digraph, n: int, apex_a="+a", apex_b="+b") -> GroupMap:
-    """The suspension homomorphism H_n(x) -> H_{n+1}(suspension of x)
-    (reduced at n = 0): by `chains.suspension_map`, the class of the
-    suspension cycle (-1)^(n+1) * (z.a - z.b) of each generator z."""
-    return suspension_map(
-        build_omega_complex(x, n + 1),
-        build_omega_complex(suspension(x, apex_a, apex_b), n + 2),
-        n,
-        partial(_suspend, apex_a=apex_a, apex_b=apex_b),
-    )
+PATH = Theory(
+    OmegaComplex,
+    _suspend,
+    "build_omega_complex build_omega_pair path_homology suspension_cycle path_suspension_map",
+)
+build_omega_complex = PATH.build_complex
+build_omega_pair = PATH.build_pair
+path_homology = PATH.homology
+suspension_cycle = PATH.suspension_cycle
+path_suspension_map = PATH.suspension_map

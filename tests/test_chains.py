@@ -7,17 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digraph_homology.chains import (
+    CACHE_SIZE,
     BoundaryNotSquareZeroError,
     ChainComplex,
     ChainComplexPair,
     DimensionMismatchError,
     GroupMap,
     HomologyClass,
+    NotACycleError,
     homology_of,
     suspension_composite,
     verify_exactness,
 )
-from digraph_homology.cubes import build_cubical_pair, cubical_suspension_map
+from digraph_homology.cubes import (
+    CubicalChain,
+    SingularCube,
+    build_cubical_complex,
+    build_cubical_pair,
+    cubical_suspension_cycle,
+    cubical_suspension_map,
+)
 from digraph_homology.digraphs import box_product, build_digraph, cone, cycle_digraph, suspension
 from digraph_homology.intlinalg import (
     AbelianGroup,
@@ -29,10 +38,12 @@ from digraph_homology.intlinalg import (
     vec_addmul,
 )
 from digraph_homology.paths import (
+    PathChain,
     build_omega_complex,
     build_omega_pair,
     path_homology,
     path_suspension_map,
+    suspension_cycle,
 )
 from digraph_homology.randomgen import random_digraph
 from oracles import Lattice, quotient_group, random_unimodular
@@ -433,3 +444,58 @@ def test_suspension_maps_match_the_composite():
     rp2 = rp2_face_poset()
     assert path_homology(rp2, 1) == AbelianGroup(0, (2,))
     check(rp2)
+
+
+# --- the entry points every theory shares ------------------------------------
+
+BUILDERS = {
+    "path": (build_omega_complex, build_omega_pair),
+    "cubical": (build_cubical_complex, build_cubical_pair),
+}
+
+
+@pytest.mark.parametrize("theory", sorted(BUILDERS))
+def test_each_builder_keeps_one_cache(theory):
+    build_complex, build_pair = BUILDERS[theory]
+    c4 = cycle_digraph(4)
+    ambient = cone(c4, "+a")
+    for builder, args in ((build_complex, (c4, 2)), (build_pair, (ambient, c4, 2))):
+        builder(*args)
+        builder.cache_clear()
+        assert builder.cache_info().currsize == 0
+        first = builder(*args)
+        before = builder.cache_info()
+        assert builder(*args) is first
+        after = builder.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert (after.currsize, after.maxsize) == (1, CACHE_SIZE)
+    pair = build_pair(ambient, c4, 2)
+    assert pair.ambient is build_complex(ambient, 2)
+    assert pair.sub is build_complex(c4, 2)
+    # a cached pair holds the cached complexes, also after they are cleared
+    build_complex.cache_clear()
+    assert build_pair(ambient, c4, 2).sub is build_complex(c4, 2)
+
+
+def test_suspension_cycle_refuses_what_is_not_a_cycle_in_both_theories():
+    c4 = cycle_digraph(4)
+    cases = {
+        suspension_cycle: (
+            PathChain(0, {(0,): 2, (1,): -1}),
+            PathChain.single((0, 1)),
+            PathChain(1),
+        ),
+        cubical_suspension_cycle: (
+            CubicalChain(0, {SingularCube(0, (0,), c4): 2, SingularCube(0, (1,), c4): -1}),
+            CubicalChain(1, {SingularCube(1, (0, 1), c4): 1}),
+            CubicalChain(1),
+        ),
+    }
+    for suspend, (nonzero_sum, arrow, zero) in cases.items():
+        with pytest.raises(NotACycleError, match="^chain is not a cycle in degree 0$"):
+            suspend(nonzero_sum, c4)
+        with pytest.raises(NotACycleError, match="^chain is not a cycle in degree 1$"):
+            suspend(arrow, c4)
+        assert suspend(zero, c4).is_zero()
+    with pytest.raises(NotACycleError, match="^chain is not in the allowed-boundary lattice$"):
+        suspension_cycle(PathChain.single((0, 2)), c4)

@@ -495,8 +495,18 @@ def test_verify_exactness_bound_exceeded(tmp_path, capsys):
         {"axes": [{"len": "x"}], "values": ["0"]},
         {"axes": [{"len": 1.5}], "values": ["0", "0"]},
         {"axes": [{"len": -3}], "values": ["0"]},
+        {
+            "axes": [{"len": 2, "pattern": ["F", "B"]}],
+            "values": ["0", "1", "0"],
+            "target": {"vertices": ["0", "1"], "arrows": [["0", "1"]]},
+        },
+        {
+            "axes": [{"len": 2}],
+            "values": "000",
+            "target": {"vertices": ["0", "1"], "arrows": [["0", "1"]]},
+        },
     ],
-    ids=["list", "string", "text-len", "fractional-len", "negative-len"],
+    ids=["list", "string", "text-len", "fractional-len", "negative-len", "list-pattern", "string-values"],
 )
 @pytest.mark.parametrize("command", ["hurewicz", "verify-certificate"])
 def test_malformed_grid_map_exit_code(tmp_path, capsys, document, command):
@@ -522,6 +532,23 @@ def test_build_negative_times_exit_code(capsys, c4_file):
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_build_refuses_a_result_past_the_path_bound(tmp_path, capsys, c4_file):
+    # the result's arrows are its allowed 1-paths; they are counted before
+    # anything is built: 503,504 for 1000 cones of C4, 503,004 for 500
+    # suspensions, and 1,998,000 for the square of a 1000-vertex path
+    line = tmp_path / "line.json"
+    names = [str(i) for i in range(1000)]
+    line.write_text(json.dumps({"vertices": names, "arrows": [list(a) for a in zip(names, names[1:])]}))
+    for argv in (
+        ("cone", c4_file, "--times", "1000"),
+        ("suspend", c4_file, "--times", "500"),
+        ("boxprod", line, line),
+    ):
+        code, out, err = run_cli(capsys, "build", *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: the result has ") and err.count("\n") == 1
 
 
 def test_cli_output_deterministic(tmp_path, capsys, c4_file):

@@ -24,6 +24,7 @@ from digraph_homology.digraphs import (
 from digraph_homology.grids import GridMap, glmy_hurewicz, grid_map_to_json
 from digraph_homology.intlinalg import AbelianGroup, Echelon
 from digraph_homology.paths import (
+    OmegaComplex,
     PathChain,
     _boundary_faces,
     allowed_paths,
@@ -348,3 +349,25 @@ def test_every_path_entry_point_is_bounded_by_the_path_count(tmp_path, monkeypat
     assert [path_homology(box, n) for n in range(2)] == groups
     assert groups == [AbelianGroup(1), AbelianGroup(2)]
     assert cubes.BoundExceededError is chains.BoundExceededError
+
+
+def test_growing_one_degree_at_a_time_extends_the_degree_below():
+    rng = random.Random(21)
+    for _ in range(30):
+        g = random_digraph(rng, max_vertices=5, max_arrows=9, min_vertices=1)
+        stepwise = OmegaComplex(g)
+        for k in range(4):
+            stepwise.grow(k)
+            # every vertex sequence along arrows, lexicographic in the vertex order
+            walks = [
+                p
+                for p in product(g.vertices, repeat=k + 1)
+                if all(g.has_arrow(a, b) for a, b in zip(p, p[1:]))
+            ]
+            assert stepwise.allowed[k] == allowed_paths(g, k) == walks
+        cold = OmegaComplex(g).grow(3)
+        assert stepwise.allowed == cold.allowed
+        assert stepwise.complex.degrees == cold.complex.degrees
+        assert stepwise.complex.boundary_cols == cold.complex.boundary_cols
+        for k in range(4):
+            assert stepwise._echelons[k].basis_vectors() == cold._echelons[k].basis_vectors()
