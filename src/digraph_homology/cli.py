@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import count
 from pathlib import Path
 from typing import Optional
 
@@ -31,12 +32,11 @@ from .digraphs import (
     DigraphError,
     NotASubdigraphError,
     box_product,
-    cone,
+    build_digraph,
     digraph_from_json,
     digraph_to_json,
     is_subdigraph,
     relabel_to_strings,
-    suspension,
 )
 from .grids import (
     GridError,
@@ -131,19 +131,17 @@ def cmd_build(args) -> int:
         raise BoundExceededError(
             f"the result has {arrows} arrows: degree 1 has more than {PATH_BOUND} allowed paths"
         )
-    out = inputs[0]
-    try:
-        if args.op == "cone":
-            for _ in range(args.times):
-                out = cone(out, _fresh_label(out, "+a"))
-        elif args.op == "suspend":
-            for _ in range(args.times):
-                out = suspension(out, _fresh_label(out, "+a"), _fresh_label(out, "+b"))
-        else:
+    if args.op == "cone":
+        out = _add_apexes(inputs[0], ("+a",), args.times)
+    elif args.op == "suspend":
+        out = _add_apexes(inputs[0], ("+a", "+b"), args.times)
+    else:
+        out = inputs[0]
+        try:
             for h in inputs[1:]:
                 out = relabel_to_strings(box_product(out, h))
-    except DigraphError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+        except DigraphError as exc:
+            raise CliError(str(exc), EXIT_PARSE)
     payload = json.dumps(digraph_to_json(relabel_to_strings(out)), indent=2)
     if args.output:
         Path(args.output).write_text(payload + "\n")
@@ -164,13 +162,30 @@ def _arrow_count(op: str, inputs: list, times: int) -> int:
     return a
 
 
-def _fresh_label(g: Digraph, stem: str) -> str:
-    label = stem
-    k = 0
-    while g.has_vertex(label):
-        k += 1
-        label = f"{stem}{k}"
-    return label
+def _add_apexes(x: Digraph, stems: tuple, times: int) -> Digraph:
+    """The `times`-fold cone (one stem) or suspension (two stems) of x, as
+    `digraphs.cone` or `digraphs.suspension` would make it step by step, but
+    built once: each step adds one apex per stem, which receives an arrow
+    from every vertex present before the step."""
+    vertices, arrows = list(x.vertices), list(x.arrows)
+    present = set(vertices)
+    labels = [_fresh_labels(present, stem) for stem in stems]
+    for _ in range(times):
+        apexes = [next(fresh) for fresh in labels]
+        for apex in apexes:
+            arrows.extend((v, apex) for v in vertices)
+        vertices.extend(apexes)
+    return build_digraph(vertices, arrows, x.base)
+
+
+def _fresh_labels(present: set, stem: str):
+    """The labels stem, stem1, stem2, ... missing from `present`, in order,
+    each added to `present` as it is handed out."""
+    for k in count():
+        label = f"{stem}{k}" if k else stem
+        if label not in present:
+            present.add(label)
+            yield label
 
 
 def cmd_hurewicz(args) -> int:

@@ -19,20 +19,25 @@ arrows, boundary and collapsed part (`_grid_tables`) and of its cells'
 corners (`_cell_table`).  The Hurewicz classes read the cells as values
 tuples straight into complex coordinates (`_cells`).
 
-Validation contract: `grid_map_violation` is the one validity check, and
-public entry points run it once on each input map.  It tests each
+Validation contract: every map is checked once, when it is made.
+`GridMap.__post_init__` runs the one validity check, `_violation`, and
+records its result (the first violated condition as a message, or None)
+on the frozen map; an invalid map is still made, never refused there.
+`grid_map_violation`, `validate_grid_map` and `require_valid` only read
+that result, so no entry point checks a map again.  The check tests each
 condition in bulk over the flat position tables and walks the grid only
 when a condition fails, to name the first violation in row-major order
 (the messages are those of a walk).  A subdivision of a valid map is
 valid by construction (shrinking maps are digraph maps that keep
-boundaries and far faces), so certificate steps do not re-check.
+boundaries and far faces), so `_derived` records None for it without a
+check; a subdivision of an invalid map is checked like any other map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import prod
 from typing import NamedTuple, Optional, Sequence
 
@@ -97,7 +102,8 @@ class GridMap:
 
     `axes[k]` describes the k-th line digraph; `values` is the flat
     row-major array over the (m_1+1) x ... x (m_n+1) index box.  The shape
-    and the row-major strides are computed once, at construction.
+    and the row-major strides are computed once, at construction, and so
+    is the validity check, whose result `grid_map_violation` reads.
     """
 
     axes: tuple[LineSpec, ...]
@@ -108,6 +114,10 @@ class GridMap:
     sub: Optional[Digraph] = None
 
     def __post_init__(self):
+        self._lay_out()
+        object.__setattr__(self, "_violation", _violation(self))
+
+    def _lay_out(self):
         if self.mode not in MODES:
             raise ModeMismatchError(f"unknown mode {self.mode!r}")
         shape = tuple(ax.length + 1 for ax in self.axes)
@@ -184,6 +194,22 @@ def _strides(shape: Sequence[int]) -> tuple[int, ...]:
     return tuple(prod(shape[k + 1 :]) for k in range(len(shape)))
 
 
+def _derived(f: GridMap, axes: tuple[LineSpec, ...], values: tuple) -> GridMap:
+    """The map on `axes` with `values` and f's target, mode, basepoint and
+    subdigraph, made by a construction that keeps validity (a subdivision,
+    or a move checked where it changes f): it inherits f's check result
+    None without a check.  Made from an invalid f, it is checked."""
+    if f._violation is not None:
+        return GridMap(axes, values, f.target, f.mode, f.base, f.sub)
+    g = object.__new__(GridMap)
+    g.__dict__.update(
+        axes=axes, values=values, target=f.target, mode=f.mode, base=f.base, sub=f.sub
+    )
+    g._lay_out()
+    g.__dict__["_violation"] = None
+    return g
+
+
 def on_outer_boundary(idx: Sequence[int], lengths: Sequence[int]) -> bool:
     return any(i == 0 or i == m for i, m in zip(idx, lengths))
 
@@ -227,33 +253,55 @@ def _grid_tables(axes: tuple[LineSpec, ...]) -> _GridTables:
     on these axes, of: the source and target of every grid arrow (`tails`,
     `heads`); the outer boundary; the collapsed part of triple mode (empty
     without axes); and the source and target of every arrow inside the
-    boundary (`rim_tails`, `rim_heads`)."""
-    shape = tuple(ax.length + 1 for ax in axes)
+    boundary (`rim_tails`, `rim_heads`).  Arrows are listed by their low
+    point, then by axis.
+
+    Each table is composed from per-axis lists by `_positions`: slot
+    n * p + k of the `*_at` lists holds the axis-(k + 1) arrow at point p,
+    and `rims_at` there counts the other axes on which p is extreme, which
+    is negative where that arrow leaves the grid."""
+    n = len(axes)
     lengths = tuple(ax.length for ax in axes)
-    strides = _strides(shape)
-    tails, heads, rim_tails, rim_heads, boundary, collapsed = [], [], [], [], [], []
-    for p, idx in enumerate(product(*map(range, shape))):
-        for k, (ax, stride) in enumerate(zip(axes, strides)):
-            if idx[k] == ax.length:
-                continue
-            src, dst = (p, p + stride) if ax.forward_at(idx[k]) else (p + stride, p)
-            tails.append(src)
-            heads.append(dst)
-            # an arrow lies in the grid boundary iff some other coordinate is extreme
-            if any(j != k and (i == 0 or i == m) for j, (i, m) in enumerate(zip(idx, lengths))):
-                rim_tails.append(src)
-                rim_heads.append(dst)
-        if on_outer_boundary(idx, lengths):
-            boundary.append(p)
-        if idx and on_collapsed_part(idx, lengths):
-            collapsed.append(p)
+    strides = _strides([m + 1 for m in lengths])
+    ones = [1] * n
+    extreme = [[int(i == 0 or i == m) for i in range(m + 1)] for m in lengths]
+    size = _size_of(lengths)
+    tails_at, heads_at, rims_at = [0] * (n * size), [0] * (n * size), [0] * (n * size)
+    for k, ax in enumerate(axes):
+        forward = [ax.forward_at(i) for i in range(ax.length)]
+        coordinates = [range(m + 1) for m in lengths]
+        coordinates[k] = [i if fw else i + 1 for i, fw in enumerate(forward)] + [0]
+        tails_at[k::n] = _positions(coordinates, strides)
+        coordinates[k] = [i + 1 if fw else i for i, fw in enumerate(forward)] + [0]
+        heads_at[k::n] = _positions(coordinates, strides)
+        others = extreme.copy()
+        others[k] = [0] * ax.length + [-n]
+        rims_at[k::n] = _positions(others, ones)
+    arrows = [r >= 0 for r in rims_at]
+    rim = [r > 0 for r in rims_at]
+    collapsed = ()
+    if axes:
+        far = [[int(i == lengths[0]) for i in range(lengths[0] + 1)]] + extreme[1:]
+        collapsed = tuple(p for p, c in enumerate(_positions(far, ones)) if c)
     return _GridTables(
-        lengths, *map(tuple, (tails, heads, boundary, collapsed, rim_tails, rim_heads))
+        lengths,
+        tuple(compress(tails_at, arrows)),
+        tuple(compress(heads_at, arrows)),
+        tuple(p for p, c in enumerate(_positions(extreme, ones)) if c),
+        collapsed,
+        tuple(compress(tails_at, rim)),
+        tuple(compress(heads_at, rim)),
     )
 
 
 def grid_map_violation(f: GridMap) -> Optional[str]:
-    """First violated grid-map condition as a message, else None.
+    """First violated grid-map condition as a message, else None: the
+    result of the check made when f was made."""
+    return f._violation
+
+
+def _violation(f: GridMap) -> Optional[str]:
+    """The validity check, run once per map by `GridMap.__post_init__`.
 
     Each condition is tested in bulk over `_grid_tables`; only a failing
     one is walked in row-major order to its first violation."""
@@ -370,7 +418,8 @@ def _positions(tables: Sequence[Sequence[int]], strides: Sequence[int]) -> list[
     order: the point (i_1, ..., i_n) goes to sum tables[k][i_k] * strides[k]."""
     out = [0]
     for table, stride in zip(tables, strides):
-        out = [p + i * stride for p in out for i in table]
+        offsets = [i * stride for i in table]
+        out = [p + d for p in out for d in offsets]
     return out
 
 
@@ -464,14 +513,7 @@ def subdivide(f: GridMap, h: ShrinkingMap) -> GridMap:
     if h.target_axes != f.axes:
         raise ShapeMismatchError("shrinking map target does not match the grid")
     values = f.values
-    return GridMap(
-        h.source_axes,
-        tuple([values[p] for p in _positions(h.tables, f._strides)]),
-        f.target,
-        f.mode,
-        f.base,
-        f.sub,
-    )
+    return _derived(f, h.source_axes, tuple([values[p] for p in _positions(h.tables, f._strides)]))
 
 
 def concat_mu(j: int, f: GridMap, g: GridMap) -> GridMap:
@@ -640,8 +682,8 @@ def verify_homotopy_certificate(
 ) -> bool:
     """Chain the one-step checks across the certificate from f to g.
 
-    f, g and every step's `next_map` are checked once, up front; an
-    invalid map makes the certificate fail."""
+    The recorded check results of f, g and every step's `next_map` are
+    read up front; an invalid map makes the certificate fail."""
     if not steps:
         return f == g
     maps = [f, g] + [step.next_map for step in steps if step.next_map is not None]

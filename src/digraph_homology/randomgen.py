@@ -8,16 +8,16 @@ shrinking maps, direct-homotopy moves, and certificate chains.
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Optional
 
-from .digraphs import Digraph, build_digraph
+from .digraphs import Digraph, build_digraph, standard_line
 from .grids import (
     CertificateStep,
     GridMap,
     ShrinkingMap,
+    _derived,
     _grid_tables,
-    _relation,
-    constant_grid_map,
     grid_map_violation,
     on_collapsed_part,
     on_outer_boundary,
@@ -57,8 +57,8 @@ def random_grid_map(
 ) -> Optional[GridMap]:
     """Backtracking fill of a standard grid with the mode's boundary
     conditions; returns None when no valid map is found in the budget."""
-    template = constant_grid_map(target, base, lengths, mode, sub)
-    indices = list(template.indices())
+    axes = tuple(standard_line(m) for m in lengths)
+    indices = list(product(*(range(m + 1) for m in lengths)))
     succ = {v: (v,) + target.out_neighbors(v) for v in target.vertices}
 
     for _ in range(tries):
@@ -72,7 +72,7 @@ def random_grid_map(
                 prev = list(idx)
                 prev[k] -= 1
                 pv = values[tuple(prev)]
-                if template.axes[k].forward_at(idx[k] - 1):
+                if axes[k].forward_at(idx[k] - 1):
                     step = set(succ[pv])
                 else:
                     step = {pv} | {w for w in target.vertices if target.has_arrow(w, pv)}
@@ -92,7 +92,14 @@ def random_grid_map(
             values[idx] = rng.choice(sorted(cands, key=str))
         if not ok:
             continue
-        candidate = template.with_values([values[idx] for idx in indices])
+        candidate = GridMap(
+            axes,
+            tuple([values[idx] for idx in indices]),
+            target,
+            mode,
+            None if mode == "absolute" else base,
+            sub,
+        )
         if grid_map_violation(candidate) is None:
             return candidate
     return None
@@ -129,12 +136,31 @@ def random_direct_move(rng: random.Random, f: GridMap, tries: int = 30) -> Optio
         w, direction = options[rng.randrange(len(options))]
         values = list(f.values)
         values[p] = w
-        g = f.with_values(values)
-        if grid_map_violation(g) is not None:
-            continue
-        if direction in _relation(f, g):
-            return g, direction
+        # w is an out- or in-neighbour of f(p), so the move is a direct
+        # homotopy in `direction`; only the grid arrows at p change, and
+        # none of them lies in the boundary that pair and triple modes fix
+        if _arrows_hold_at(f, p, values):
+            g = _derived(f, f.axes, tuple(values))
+            if grid_map_violation(g) is None:
+                return g, direction
     return None
+
+
+def _arrows_hold_at(f: GridMap, p: int, values: list) -> bool:
+    """True iff `values` send every grid arrow of f's grid at the flat
+    position p to an arrow of f's target or collapse it."""
+    t = f.target
+    for ax, stride, size in zip(f.axes, f._strides, f._shape):
+        i = p // stride % size
+        for j in (i - 1, i):  # the arrows j -> j + 1 or back that touch i
+            if 0 <= j < ax.length:
+                low = p + (j - i) * stride
+                a, b = values[low], values[low + stride]
+                if not ax.forward_at(j):
+                    a, b = b, a
+                if a != b and not t.has_arrow(a, b):
+                    return False
+    return True
 
 
 def random_certificate_chain(

@@ -4,18 +4,34 @@ Dense integer lattices on the full Smith form with transforms (`Lattice`,
 `kernel_lattice`, `quotient_group`, `smith_normal_form`, `integer_solve`),
 random unimodular matrices, the chain map of a digraph map on path chains
 (`pushforward`), the cubical connecting map read straight off the face maps
-(`connecting_face_formula`), and the validity test of a singular cube
-(`is_valid`).  None of these runs in the program; they share only the dense
-`_snf_full` and the data types with it.
+(`connecting_face_formula`), the validity test of a singular cube
+(`is_valid`), the per-point walk that builds a grid's flat position tables
+(`grid_tables_per_point`), and the random grid-map generators that check
+every candidate in full (`random_grid_map`, `random_direct_move`).  None of
+these runs in the program; they share only the dense `_snf_full` and the
+data types with it.
 """
 
 from __future__ import annotations
 
+import random
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from digraph_homology.chains import DigraphPair, GroupMap, hom_map
 from digraph_homology.cubes import SingularCube, _tables, cubical_boundary
-from digraph_homology.digraphs import DigraphMap, check_digraph_map
+from digraph_homology.digraphs import Digraph, DigraphMap, LineSpec, check_digraph_map
+from digraph_homology.grids import (
+    GridMap,
+    _GridTables,
+    _grid_tables,
+    _relation,
+    _strides,
+    constant_grid_map,
+    grid_map_violation,
+    on_collapsed_part,
+    on_outer_boundary,
+)
 from digraph_homology.intlinalg import (
     AbelianGroup,
     Echelon,
@@ -226,3 +242,107 @@ def is_valid(cube: SingularCube) -> bool:
             if a != b and not g.has_arrow(a, b):
                 return False
     return True
+
+
+def grid_tables_per_point(axes: tuple[LineSpec, ...]) -> _GridTables:
+    """`grids._grid_tables` by a walk over every grid point and axis."""
+    shape = tuple(ax.length + 1 for ax in axes)
+    lengths = tuple(ax.length for ax in axes)
+    strides = _strides(shape)
+    tails, heads, rim_tails, rim_heads, boundary, collapsed = [], [], [], [], [], []
+    for p, idx in enumerate(product(*map(range, shape))):
+        for k, (ax, stride) in enumerate(zip(axes, strides)):
+            if idx[k] == ax.length:
+                continue
+            src, dst = (p, p + stride) if ax.forward_at(idx[k]) else (p + stride, p)
+            tails.append(src)
+            heads.append(dst)
+            # an arrow lies in the grid boundary iff some other coordinate is extreme
+            if any(j != k and (i == 0 or i == m) for j, (i, m) in enumerate(zip(idx, lengths))):
+                rim_tails.append(src)
+                rim_heads.append(dst)
+        if on_outer_boundary(idx, lengths):
+            boundary.append(p)
+        if idx and on_collapsed_part(idx, lengths):
+            collapsed.append(p)
+    return _GridTables(
+        lengths, *map(tuple, (tails, heads, boundary, collapsed, rim_tails, rim_heads))
+    )
+
+
+def random_grid_map(
+    rng: random.Random,
+    target: Digraph,
+    base,
+    lengths: tuple[int, ...],
+    mode: str = "pair",
+    sub: Optional[Digraph] = None,
+    tries: int = 200,
+) -> Optional[GridMap]:
+    """`randomgen.random_grid_map` read off a constant template map."""
+    template = constant_grid_map(target, base, lengths, mode, sub)
+    indices = list(template.indices())
+    succ = {v: (v,) + target.out_neighbors(v) for v in target.vertices}
+
+    for _ in range(tries):
+        values: dict[tuple, object] = {}
+        ok = True
+        for idx in indices:
+            cands = None
+            for k in range(len(lengths)):
+                if idx[k] == 0:
+                    continue
+                prev = list(idx)
+                prev[k] -= 1
+                pv = values[tuple(prev)]
+                if template.axes[k].forward_at(idx[k] - 1):
+                    step = set(succ[pv])
+                else:
+                    step = {pv} | {w for w in target.vertices if target.has_arrow(w, pv)}
+                cands = step if cands is None else cands & step
+            if cands is None:
+                cands = set(target.vertices)
+            if mode in ("pair", "triple") and (
+                (mode == "pair" and on_outer_boundary(idx, lengths))
+                or (mode == "triple" and on_collapsed_part(idx, lengths))
+            ):
+                cands = cands & {base}
+            elif mode == "triple" and on_outer_boundary(idx, lengths):
+                cands = cands & set(sub.vertices)
+            if not cands:
+                ok = False
+                break
+            values[idx] = rng.choice(sorted(cands, key=str))
+        if not ok:
+            continue
+        candidate = template.with_values([values[idx] for idx in indices])
+        if grid_map_violation(candidate) is None:
+            return candidate
+    return None
+
+
+def random_direct_move(rng: random.Random, f: GridMap, tries: int = 30) -> Optional[tuple]:
+    """`randomgen.random_direct_move` checking each move in full: the
+    moved map's validity and its relation to f."""
+    fixed = set() if f.mode == "absolute" else set(_grid_tables(f.axes).boundary)
+    pool = [p for p in range(f.size) if p not in fixed]
+    if not pool:
+        return None
+    t = f.target
+    for _ in range(tries):
+        p = pool[rng.randrange(len(pool))]
+        cur = f.values[p]
+        fwd = list(t.out_neighbors(cur))
+        bwd = list(t.in_neighbors(cur))
+        options = [(w, "fwd") for w in fwd] + [(w, "bwd") for w in bwd]
+        if not options:
+            continue
+        w, direction = options[rng.randrange(len(options))]
+        values = list(f.values)
+        values[p] = w
+        g = f.with_values(values)
+        if grid_map_violation(g) is not None:
+            continue
+        if direction in _relation(f, g):
+            return g, direction
+    return None

@@ -235,6 +235,33 @@ def test_build_commands(tmp_path, capsys, c4_file):
     assert len(data["vertices"]) == 2 and len(data["arrows"]) == 1
 
 
+def test_build_matches_the_step_by_step_build(tmp_path, capsys):
+    # labels that the fresh apex labels must step over, and a basepoint
+    x = build_digraph(["+a", "+a2", "x", "+b1"], [("+a", "x"), ("x", "+b1")], "x")
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(digraph_to_json(x)))
+
+    def fresh(g, stem):
+        label, k = stem, 0
+        while g.has_vertex(label):
+            k += 1
+            label = f"{stem}{k}"
+        return label
+
+    steps = {
+        "cone": lambda g: cone(g, fresh(g, "+a")),
+        "suspend": lambda g: suspension(g, fresh(g, "+a"), fresh(g, "+b")),
+    }
+    checked = (0, 1, 2, 3, 17, 200)
+    for op, step in steps.items():
+        g = x
+        for t in range(max(checked) + 1):
+            if t in checked:
+                expected = json.dumps(digraph_to_json(relabel_to_strings(g)), indent=2) + "\n"
+                assert run_cli(capsys, "build", op, path, "--times", t)[:2] == (0, expected), (op, t)
+            g = step(g)
+
+
 def winding_json():
     c4 = relabel_to_strings(cycle_digraph(4))
     g = GridMap(

@@ -51,6 +51,7 @@ from digraph_homology.grids import (
     inverse_j,
     loop_h_prime,
     minimal_path,
+    require_valid,
     shrink_by_pair_insertions,
     subdivide,
     validate_grid_map,
@@ -58,12 +59,15 @@ from digraph_homology.grids import (
     verify_one_step,
 )
 from digraph_homology.paths import build_omega_complex, build_omega_pair
+from digraph_homology import randomgen
 from digraph_homology.randomgen import (
     random_certificate_chain,
     random_digraph,
+    random_direct_move,
     random_grid_map,
     random_shrinking,
 )
+import oracles
 
 C4 = cycle_digraph(4)
 
@@ -645,6 +649,23 @@ def test_grid_map_violation_names_the_axis_before_an_empty_one():
     assert "axis 1 arrow at (0, 0) maps to 0 -> 2, which is not an arrow" in violations
 
 
+@pytest.mark.parametrize("mode", grids.MODES)
+def test_grid_tables_match_the_per_point_build(mode):
+    rng = random.Random(f"tables:{mode}")
+    for lengths in ((), (0,), (3,), (2, 0), (0, 2), (1, 0, 2), (2, 3, 1), (4, 2, 2)):
+        standard = tuple(standard_line(m) for m in lengths)
+        free = tuple(LineSpec(m, "".join(rng.choice("FB") for _ in range(m))) for m in lengths)
+        for axes in (standard, free):
+            assert grids._grid_tables.__wrapped__(axes) == oracles.grid_tables_per_point(axes)
+            if not axes:
+                continue
+            f = free_grid_map(rng, axes, mode)
+            values = list(f.values)
+            values[rng.randrange(f.size)] = rng.randrange(4)
+            for h in (f, f.with_values(values)):
+                assert grid_map_violation(h) == reference_violation(h)
+
+
 def random_shrink_onto(draw_bits, axes) -> ShrinkingMap:
     """A shrinking map onto the given lines: a walk that stays (with an
     arrow of either direction) or advances along the target's arrow, at
@@ -715,6 +736,94 @@ def test_certificate_entry_points_validate_each_map_once(monkeypatch):
         find_certificate(bad, c2)
     with pytest.raises(InvalidGridMapError):
         direct_homotopy(bad, bad)
+
+
+# --- each map is checked once, when it is made -------------------------------
+
+
+def count_checks(monkeypatch) -> list:
+    """The maps the private validity check runs on from now on."""
+    calls = []
+    check = grids._violation
+
+    def counted(f):
+        calls.append(f)
+        return check(f)
+
+    monkeypatch.setattr(grids, "_violation", counted)
+    return calls
+
+
+def test_the_check_runs_once_per_construction(monkeypatch):
+    calls = count_checks(monkeypatch)
+    f = winding()
+    bad = GridMap((standard_line(2),), (0, 2, 0), C4, "pair", 0)  # made, not refused
+    moved = f.with_values(f.values)
+    assert calls == [f, bad, moved]
+    calls.clear()
+    assert grid_map_violation(bad) == "axis 1 arrow at (0,) maps to 0 -> 2, which is not an arrow"
+    assert grid_map_violation(f) is None and validate_grid_map(f) and not validate_grid_map(bad)
+    require_valid(f)
+    with pytest.raises(InvalidGridMapError):
+        require_valid(bad)
+    assert calls == []
+    # a subdivision of a valid map inherits its result; one of an invalid map is checked
+    assert validate_grid_map(subdivide(f, shrink_by_pair_insertions([8], [[2, 6]])))
+    assert calls == []
+    bad_sub = subdivide(bad, shrink_by_pair_insertions([2], [[1]]))
+    assert calls == [bad_sub] and not validate_grid_map(bad_sub)
+
+
+def test_queries_read_the_recorded_result(monkeypatch):
+    f = winding()
+    g, cert = random_certificate_chain(random.Random(5), f, max_steps=3)
+    h = shrink_by_pair_insertions([8], [[2, 6]])
+    triple = cone_triple_map(winding())
+    calls = count_checks(monkeypatch)
+    for m in (f, g, triple):
+        hurewicz_class(m)
+        glmy_hurewicz(m)
+    assert verify_homotopy_certificate(f, g, cert)
+    assert verify_one_step(f, f, h, h, "bwd")
+    assert verify_one_step(subdivide(f, h), f, None, h)
+    assert direct_homotopy(f, f) == {"fwd", "bwd"}
+    assert calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(grids.MODES), st.sampled_from(SHAPES))
+def test_a_subdivision_rebuilt_through_the_constructor_is_valid(rng, mode, lengths):
+    f = random_valid_map(rng, mode, lengths)
+    sub = subdivide(f, random_shrink_onto(rng.getrandbits, f.axes))
+    rebuilt = GridMap(sub.axes, sub.values, sub.target, sub.mode, sub.base, sub.sub)
+    assert grid_map_violation(rebuilt) is None and rebuilt == sub
+
+
+@pytest.mark.parametrize("mode", grids.MODES)
+def test_random_generators_match_the_fully_checked_ones(mode, monkeypatch):
+    lengths_drawn = ((2,), (4,), (2, 2), (4, 2), (2, 2, 2))
+    for seed in range(25):
+        if mode == "triple":
+            target, sub = CONE_C4, C4
+        else:
+            target, sub = random_digraph(random.Random(seed), 4, 8, min_vertices=2), None
+        new, old = random.Random(seed), random.Random(seed)
+        for lengths in lengths_drawn:
+            f = random_grid_map(new, target, 0, lengths, mode, sub, tries=20)
+            assert f == oracles.random_grid_map(old, target, 0, lengths, mode, sub, tries=20)
+            f = f or constant_grid_map(target, 0, lengths, mode, sub)
+            for _ in range(3):
+                move = random_direct_move(new, f)
+                assert move == oracles.random_direct_move(old, f)
+                if move is not None:
+                    assert grid_map_violation(move[0]) is None
+                    f = move[0]
+            chain = random_certificate_chain(new, f)
+            with monkeypatch.context() as patch:
+                patch.setattr(randomgen, "random_direct_move", oracles.random_direct_move)
+                assert chain == random_certificate_chain(old, f)
+            assert verify_homotopy_certificate(f, *chain)
+        assert new.random() == old.random()
 
 
 # --- the class route against the chain route ----------------------------------
