@@ -67,13 +67,11 @@ from .grids import (  # noqa: E402
     concat_mu,
     direct_homotopy,
     extend,
-    find_certificate,
     glmy_hurewicz,
     hurewicz_chain,
     hurewicz_class,
     inverse_j,
     loop_h_prime,
-    minimal_path,
     subdivide,
     validate_grid_map,
     verify_homotopy_certificate,

@@ -309,13 +309,33 @@ def criterion_10(seed: int = 0) -> CriterionResult:
         h = random_shrinking(rng, f.lengths)
         if hurewicz_class(f) != hurewicz_class(subdivide(f, h)):
             sub_failures += 1
-    ok = cert_failures == 0 and class_failures == 0 and sub_failures == 0
+    # nonzero classes: the winding loop, its square and its inverse keep both
+    # classes along certificate chains drawn apart, long enough for a direct
+    # move to follow a subdivision (these tight loops admit none before)
+    gamma = winding_loop(cycle_digraph(4))
+    known = {(1,): gamma, (2,): concat_mu(1, gamma, gamma), (-1,): inverse_j(1, gamma)}
+    chain_rng = random.Random(seed + 110)
+    chains = [
+        (w, f, *random_certificate_chain(chain_rng, f, max_steps=8))
+        for w, f in known.items()
+        for _ in range(5)
+    ]
+    known_failures = sum(
+        not verify_homotopy_certificate(f, other, cert)
+        or any(
+            hurewicz_class(m).coords != w or glmy_hurewicz(m).coords != w
+            for m in [f, other] + [step.next_map for step in cert if step.next_map is not None]
+        )
+        for w, f, other, cert in chains
+    )
+    ok = cert_failures == class_failures == sub_failures == known_failures == 0
     return _result(
         10,
         "homotopy invariance and subdivision independence",
         ok,
         f"certificates: {cert_failures} bad, classes: {class_failures} changed, "
-        f"subdivision: {sub_failures} changed",
+        f"subdivision: {sub_failures} changed, "
+        f"known classes: {known_failures} of {len(chains)} chains changed",
         t0,
     )
 

@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", parents=[json_flag], help="compute a homology group")
     p.add_argument("input", help="digraph JSON file")
-    p.add_argument("--theory", choices=["path", "cubical"], default="path")
+    p.add_argument("--theory", choices=THEORIES, default="path")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--relative", help="subdigraph JSON file for relative homology")
     p.add_argument("--reduced", action="store_true", help="augmented (reduced) homology")
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--maxdim", type=int, default=3, help="top degree of the exactness sequence (default 3)"
     )
-    p.add_argument("--theory", choices=["path", "cubical"], default="path")
+    p.add_argument("--theory", choices=THEORIES, default="path")
     p.add_argument("--seed", type=int, default=0, help="seed for the paper suite")
     p.set_defaults(func=cmd_verify)
 

@@ -106,26 +106,20 @@ class Digraph:
         return all(a == b for a, b in set(pairs).difference(self._cache["arrow_set"]))
 
     def out_neighbors(self, v: Label) -> tuple:
-        out = self._cache.get("out")
-        if out is None:
-            out = {w: [] for w in self.vertices}
-            for src, dst in self.arrows:
-                out[src].append(dst)
-            index = self._cache["index"]
-            out = {w: tuple(sorted(ns, key=index.__getitem__)) for w, ns in out.items()}
-            self._cache["out"] = out
-        return out[v]
+        return (self._cache.get("out") or self._neighbor_table("out", 0))[v]
 
     def in_neighbors(self, v: Label) -> tuple:
-        inn = self._cache.get("in")
-        if inn is None:
-            inn = {w: [] for w in self.vertices}
-            for src, dst in self.arrows:
-                inn[dst].append(src)
-            index = self._cache["index"]
-            inn = {w: tuple(sorted(ns, key=index.__getitem__)) for w, ns in inn.items()}
-            self._cache["in"] = inn
-        return inn[v]
+        return (self._cache.get("in") or self._neighbor_table("in", 1))[v]
+
+    def _neighbor_table(self, key: str, end: int) -> dict:
+        """{vertex: the other ends, in vertex order, of the arrows that have
+        it at `end` (0 for tail, 1 for head)}, cached under `key`."""
+        table = {w: [] for w in self.vertices}
+        for arrow in self.arrows:
+            table[arrow[end]].append(arrow[1 - end])
+        order = self._cache["index"].__getitem__
+        self._cache[key] = table = {w: tuple(sorted(ns, key=order)) for w, ns in table.items()}
+        return table
 
     def __eq__(self, other):
         if not isinstance(other, Digraph):

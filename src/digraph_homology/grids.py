@@ -9,15 +9,15 @@ the remaining axes maps to the basepoint).
 On top of the data model: extension to larger grids, subdivision along
 shrinking maps, concatenation products, axis reversal, one-step direct
 homotopy, homotopy-certificate verification, the cell decomposition into
-signed singular cubes with its induced homology classes, the degree-1
-edge-chain formula, and minimal-path collapse.
+signed singular cubes with its induced homology classes, and the
+degree-1 edge-chain formula.
 
-Grid walks read the flat row-major `values` at offsets from the strides
-each map keeps: through per-axis position tables (`_positions`) and, per
-grid shape and orientation, through cached flat position tables of its
-arrows, boundary and collapsed part (`_grid_tables`) and of its cells'
-corners (`_cell_table`).  The Hurewicz classes read the cells as values
-tuples straight into complex coordinates (`_cells`).
+Grids have one layout, the flat row-major `values`.  Every grid walk reads
+it at flat positions: from per-axis position tables (`_positions`) and,
+per grid shape and orientation, from cached tables of its arrows,
+boundary and collapsed part (`_grid_tables`) and of its cells' corners
+(`_cell_table`); only a message turns a position into an index tuple.
+The Hurewicz classes read the cells as values tuples (`_cells`).
 
 Validation contract: every map is checked once, when it is made.
 `GridMap.__post_init__` runs the one validity check, `_violation`, and
@@ -25,12 +25,12 @@ records its result (the first violated condition as a message, or None)
 on the frozen map; an invalid map is still made, never refused there.
 `grid_map_violation`, `validate_grid_map` and `require_valid` only read
 that result, so no entry point checks a map again.  The check tests each
-condition in bulk over the flat position tables and walks the grid only
-when a condition fails, to name the first violation in row-major order
-(the messages are those of a walk).  A subdivision of a valid map is
-valid by construction (shrinking maps are digraph maps that keep
-boundaries and far faces), so `_derived` records None for it without a
-check; a subdivision of an invalid map is checked like any other map.
+condition in bulk over the flat position tables and walks them only when
+a condition fails, to name the first violation in row-major order (the
+messages are those of a walk).  A subdivision of a valid map is valid by
+construction (shrinking maps are digraph maps that keep boundaries and
+far faces), so `_derived` records None for it without a check; a
+subdivision of an invalid map is checked like any other map.
 """
 
 from __future__ import annotations
@@ -210,17 +210,6 @@ def _derived(f: GridMap, axes: tuple[LineSpec, ...], values: tuple) -> GridMap:
     return g
 
 
-def on_outer_boundary(idx: Sequence[int], lengths: Sequence[int]) -> bool:
-    return any(i == 0 or i == m for i, m in zip(idx, lengths))
-
-
-def on_collapsed_part(idx: Sequence[int], lengths: Sequence[int]) -> bool:
-    """The far face of axis 1 union the boundary of the remaining axes."""
-    if idx[0] == lengths[0]:
-        return True
-    return any(i == 0 or i == m for i, m in zip(idx[1:], lengths[1:]))
-
-
 def _first_bad_arrow(f: GridMap, is_arrow, tails, heads) -> tuple[int, str]:
     """The axis (from 0) and the place, "at {index} maps to {source!r} ->
     {target!r}", of the first arrow in the tables `tails`, `heads` whose
@@ -230,18 +219,22 @@ def _first_bad_arrow(f: GridMap, is_arrow, tails, heads) -> tuple[int, str]:
         src, dst = values[p], values[q]
         if src != dst and not is_arrow(src, dst):
             break
-    idx = tuple(min(p, q) // s % m for s, m in zip(f._strides, f._shape))
+    where = f"at {_index_of(f, min(p, q))} maps to {src!r} -> {dst!r}"
     # an axis of length 0 repeats the stride of the axis before it
-    return f._strides.index(abs(q - p)), f"at {idx} maps to {src!r} -> {dst!r}"
+    return f._strides.index(abs(q - p)), where
+
+
+def _index_of(f: GridMap, p: int) -> tuple[int, ...]:
+    """The index tuple of the flat position p of f's grid."""
+    return tuple(p // s % m for s, m in zip(f._strides, f._shape))
 
 
 class _GridTables(NamedTuple):
     """Flat position tables of one grid shape and orientation; see `_grid_tables`."""
 
-    lengths: tuple[int, ...]
     tails: tuple[int, ...]
     heads: tuple[int, ...]
-    boundary: tuple[int, ...]
+    boundary: frozenset[int]
     collapsed: tuple[int, ...]
     rim_tails: tuple[int, ...]
     rim_heads: tuple[int, ...]
@@ -249,12 +242,12 @@ class _GridTables(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _grid_tables(axes: tuple[LineSpec, ...]) -> _GridTables:
-    """The axis lengths and flat positions, in the row-major order of grids
-    on these axes, of: the source and target of every grid arrow (`tails`,
-    `heads`); the outer boundary; the collapsed part of triple mode (empty
-    without axes); and the source and target of every arrow inside the
-    boundary (`rim_tails`, `rim_heads`).  Arrows are listed by their low
-    point, then by axis.
+    """The flat positions, in the row-major order of grids on these axes,
+    of: the source and target of every grid arrow (`tails`, `heads`); the
+    collapsed part of triple mode (empty without axes); and the source and
+    target of every arrow inside the boundary (`rim_tails`, `rim_heads`).
+    Arrows are listed by their low point, then by axis.  The outer boundary
+    is the set of its flat positions; it contains the collapsed part.
 
     Each table is composed from per-axis lists by `_positions`: slot
     n * p + k of the `*_at` lists holds the axis-(k + 1) arrow at point p,
@@ -284,10 +277,9 @@ def _grid_tables(axes: tuple[LineSpec, ...]) -> _GridTables:
         far = [[int(i == lengths[0]) for i in range(lengths[0] + 1)]] + extreme[1:]
         collapsed = tuple(p for p, c in enumerate(_positions(far, ones)) if c)
     return _GridTables(
-        lengths,
         tuple(compress(tails_at, arrows)),
         tuple(compress(heads_at, arrows)),
-        tuple(p for p, c in enumerate(_positions(extreme, ones)) if c),
+        frozenset(p for p, c in enumerate(_positions(extreme, ones)) if c),
         collapsed,
         tuple(compress(tails_at, rim)),
         tuple(compress(heads_at, rim)),
@@ -322,12 +314,10 @@ def _violation(f: GridMap) -> Optional[str]:
         return "pair/triple mode requires a basepoint"
     if not g.has_vertex(f.base):
         return f"basepoint {f.base!r} is not a vertex of the target"
-    lengths = tables.lengths
     if f.mode == "pair":
         if not {f.base}.issuperset(map(at, tables.boundary)):
-            for v, idx in zip(values, f.indices()):
-                if v != f.base and on_outer_boundary(idx, lengths):
-                    return f"boundary vertex {idx} maps to {v!r}, not the basepoint"
+            p = next(p for p in sorted(tables.boundary) if values[p] != f.base)
+            return f"boundary vertex {_index_of(f, p)} maps to {values[p]!r}, not the basepoint"
         return None
     # triple mode
     if f.sub is None:
@@ -342,11 +332,15 @@ def _violation(f: GridMap) -> Optional[str]:
         {f.base}.issuperset(map(at, tables.collapsed))
         and f.sub.has_vertices(map(at, tables.boundary))
     ):
-        for v, idx in zip(values, f.indices()):
-            if v != f.base and on_collapsed_part(idx, lengths):
+        # the collapsed part lies in the boundary, so one walk meets both
+        collapsed = set(tables.collapsed)
+        for p in sorted(tables.boundary):
+            v = values[p]
+            if v != f.base and p in collapsed:
+                idx = _index_of(f, p)
                 return f"vertex {idx} on the collapsed part maps to {v!r}, not the basepoint"
-            if on_outer_boundary(idx, lengths) and not f.sub.has_vertex(v):
-                return f"boundary vertex {idx} maps outside the constraint subdigraph"
+            if not f.sub.has_vertex(v):
+                return f"boundary vertex {_index_of(f, p)} maps outside the constraint subdigraph"
     # boundary arrows must map into the subdigraph (or collapse)
     if not f.sub.has_arrows_or_equal(zip(map(at, tables.rim_tails), map(at, tables.rim_heads))):
         _, where = _first_bad_arrow(f, f.sub.has_arrow, tables.rim_tails, tables.rim_heads)
@@ -608,28 +602,15 @@ def _require_comparable(f: GridMap, g: GridMap) -> None:
 
 def _relation(f: GridMap, g: GridMap) -> frozenset:
     """`direct_homotopy` of two comparable maps, taken as valid."""
-    lengths = f.lengths
-    t = f.target
-    fwd = True
-    bwd = True
-    for idx, a, b in zip(f.indices(), f.values, g.values):
-        if a == b:
-            continue
-        if f.mode != "absolute" and on_outer_boundary(idx, lengths):
-            # the constrained set must stay fixed through the homotopy
-            return frozenset()
-        if not t.has_arrow(a, b):
-            fwd = False
-        if not t.has_arrow(b, a):
-            bwd = False
-        if not (fwd or bwd):
-            return frozenset()
-    out = set()
-    if fwd:
-        out.add("fwd")
-    if bwd:
-        out.add("bwd")
-    return frozenset(out)
+    a, b = f.values, g.values
+    moved = [p for p in range(len(a)) if a[p] != b[p]]
+    if f.mode != "absolute" and not _grid_tables(f.axes).boundary.isdisjoint(moved):
+        # the constrained set must stay fixed through the homotopy
+        return frozenset()
+    has_arrow = f.target.has_arrow
+    fwd = all(has_arrow(a[p], b[p]) for p in moved)
+    bwd = all(has_arrow(b[p], a[p]) for p in moved)
+    return frozenset(d for d, holds in (("fwd", fwd), ("bwd", bwd)) if holds)
 
 
 def verify_one_step(
@@ -702,65 +683,6 @@ def verify_homotopy_certificate(
             return False
         current = nxt
     return current == g
-
-
-def find_certificate(
-    f: GridMap, g: GridMap, max_factor: int = 2
-) -> Optional[list[CertificateStep]]:
-    """Bounded best-effort search for a single-step certificate relating f
-    and g: try pairs of shrinking maps onto common shapes with subdivision
-    factor at most max_factor per axis.  Returns None when nothing is
-    found within the bound (which proves nothing)."""
-    if f.dims != g.dims:
-        return None
-    require_valid(f)
-    require_valid(g)
-
-    def axis_tables(m_src: int, m_dst: int) -> list[tuple[int, ...]]:
-        """Standard-line shrinking tables from length m_src onto m_dst, in
-        lexicographic order: a step at position i is a digraph map iff i
-        and the value there have the same parity."""
-        tables = [(0,)]
-        for i in range(m_src):
-            tables = [
-                tab + (tab[-1] + step,)
-                for tab in tables
-                for step in (0, 1)
-                if 0 <= m_dst - tab[-1] - step <= m_src - i - 1
-                and (step == 0 or tab[-1] % 2 == i % 2)
-            ]
-        return tables
-
-    for factor in range(1, max_factor + 1):
-        common = tuple(
-            max(a, b) * factor for a, b in zip(f.lengths, g.lengths)
-        )
-        per_axis_f = [axis_tables(cm, m) for cm, m in zip(common, f.lengths)]
-        per_axis_g = [axis_tables(cm, m) for cm, m in zip(common, g.lengths)]
-        if any(not t for t in per_axis_f) or any(not t for t in per_axis_g):
-            continue
-
-        def combos(per_axis, limit=64):
-            out = [[]]
-            for tabs in per_axis:
-                out = [c + [t] for c in out for t in tabs]
-                if len(out) > limit:
-                    out = out[:limit]
-            return out
-
-        g_shrinks = [ShrinkingMap.from_tables(tg) for tg in combos(per_axis_g)]
-        g_subdivisions = [(hg, subdivide(g, hg)) for hg in g_shrinks]
-        for tf in combos(per_axis_f):
-            hf = ShrinkingMap.from_tables(tf)
-            fbar = subdivide(f, hf)
-            for hg, gbar in g_subdivisions:
-                _require_comparable(fbar, gbar)
-                rel = _relation(fbar, gbar)
-                if "fwd" in rel:
-                    return [CertificateStep(hf, hg, "fwd")]
-                if "bwd" in rel:
-                    return [CertificateStep(hf, hg, "bwd")]
-    return None
 
 
 # --- Hurewicz-style maps ------------------------------------------------------
@@ -867,18 +789,6 @@ def loop_h_prime(f: GridMap) -> PathChain:
         if is_regular(path):
             terms[path] = terms.get(path, 0) + s
     return PathChain(1, terms)
-
-
-def minimal_path(f: GridMap) -> tuple:
-    """Value sequence of a 1-dimensional grid map with stationary repeats
-    collapsed; subdivision-equivalent loops share their minimal path."""
-    if f.dims != 1:
-        raise WrongDimensionError("minimal paths are for 1-dimensional grid maps")
-    out = [f.values[0]]
-    for v in f.values[1:]:
-        if v != out[-1]:
-            out.append(v)
-    return tuple(out)
 
 
 # --- JSON --------------------------------------------------------------------

@@ -8,7 +8,6 @@ shrinking maps, direct-homotopy moves, and certificate chains.
 from __future__ import annotations
 
 import random
-from itertools import product
 from typing import Optional
 
 from .digraphs import Digraph, build_digraph, standard_line
@@ -18,9 +17,9 @@ from .grids import (
     ShrinkingMap,
     _derived,
     _grid_tables,
+    _size_of,
+    _strides,
     grid_map_violation,
-    on_collapsed_part,
-    on_outer_boundary,
     shrink_by_pair_insertions,
     subdivide,
 )
@@ -58,50 +57,48 @@ def random_grid_map(
     """Backtracking fill of a standard grid with the mode's boundary
     conditions; returns None when no valid map is found in the budget."""
     axes = tuple(standard_line(m) for m in lengths)
-    indices = list(product(*(range(m + 1) for m in lengths)))
+    shape = [m + 1 for m in lengths]
+    strides = _strides(shape)
+    # per flat position, row-major: each earlier neighbour's position and
+    # whether the arrow from it points forward
+    earlier = []
+    for p in range(_size_of(lengths)):
+        coordinates = [p // s % m for s, m in zip(strides, shape)]
+        earlier.append(
+            [(p - s, ax.forward_at(i - 1)) for ax, s, i in zip(axes, strides, coordinates) if i]
+        )
+    # the values the mode allows on the boundary, which holds the collapsed part
+    allowed = {}
+    if mode in ("pair", "triple"):
+        tables = _grid_tables(axes)
+        allowed = dict.fromkeys(tables.boundary, {base} if mode == "pair" else set(sub.vertices))
+        allowed.update(dict.fromkeys(tables.collapsed, {base}))
     succ = {v: (v,) + target.out_neighbors(v) for v in target.vertices}
 
     for _ in range(tries):
-        values: dict[tuple, object] = {}
-        ok = True
-        for idx in indices:
+        values = []
+        for p, neighbours in enumerate(earlier):
             cands = None
-            for k in range(len(lengths)):
-                if idx[k] == 0:
-                    continue
-                prev = list(idx)
-                prev[k] -= 1
-                pv = values[tuple(prev)]
-                if axes[k].forward_at(idx[k] - 1):
+            for q, forward in neighbours:
+                pv = values[q]
+                if forward:
                     step = set(succ[pv])
                 else:
                     step = {pv} | {w for w in target.vertices if target.has_arrow(w, pv)}
                 cands = step if cands is None else cands & step
             if cands is None:
                 cands = set(target.vertices)
-            if mode in ("pair", "triple") and (
-                (mode == "pair" and on_outer_boundary(idx, lengths))
-                or (mode == "triple" and on_collapsed_part(idx, lengths))
-            ):
-                cands = cands & {base}
-            elif mode == "triple" and on_outer_boundary(idx, lengths):
-                cands = cands & set(sub.vertices)
+            if p in allowed:
+                cands = cands & allowed[p]
             if not cands:
-                ok = False
                 break
-            values[idx] = rng.choice(sorted(cands, key=str))
-        if not ok:
-            continue
-        candidate = GridMap(
-            axes,
-            tuple([values[idx] for idx in indices]),
-            target,
-            mode,
-            None if mode == "absolute" else base,
-            sub,
-        )
-        if grid_map_violation(candidate) is None:
-            return candidate
+            values.append(rng.choice(sorted(cands, key=str)))
+        else:
+            candidate = GridMap(
+                axes, tuple(values), target, mode, None if mode == "absolute" else base, sub
+            )
+            if grid_map_violation(candidate) is None:
+                return candidate
     return None
 
 

@@ -5,11 +5,15 @@ Dense integer lattices on the full Smith form with transforms (`Lattice`,
 random unimodular matrices, the chain map of a digraph map on path chains
 (`pushforward`), the cubical connecting map read straight off the face maps
 (`connecting_face_formula`), the validity test of a singular cube
-(`is_valid`), the per-point walk that builds a grid's flat position tables
-(`grid_tables_per_point`), and the random grid-map generators that check
-every candidate in full (`random_grid_map`, `random_direct_move`).  None of
-these runs in the program; they share only the dense `_snf_full` and the
-data types with it.
+(`is_valid`), the per-index grid predicates (`on_outer_boundary`,
+`on_collapsed_part`) and the per-index direct-homotopy relation
+(`relation`), the per-point walk that builds a grid's flat position tables
+(`grid_tables_per_point`), the random grid-map generators that check
+every candidate in full (`random_grid_map`, `random_direct_move`), and a
+bounded search for one-step homotopy certificates (`find_certificate`).
+None of these runs in the program.  The search subdivides and reads
+validity through the program; the others share only the dense
+`_snf_full` and the data types with it.
 """
 
 from __future__ import annotations
@@ -22,15 +26,17 @@ from digraph_homology.chains import DigraphPair, GroupMap, hom_map
 from digraph_homology.cubes import SingularCube, _tables, cubical_boundary
 from digraph_homology.digraphs import Digraph, DigraphMap, LineSpec, check_digraph_map
 from digraph_homology.grids import (
+    CertificateStep,
     GridMap,
+    ShrinkingMap,
     _GridTables,
     _grid_tables,
-    _relation,
+    _require_comparable,
     _strides,
     constant_grid_map,
     grid_map_violation,
-    on_collapsed_part,
-    on_outer_boundary,
+    require_valid,
+    subdivide,
 )
 from digraph_homology.intlinalg import (
     AbelianGroup,
@@ -244,6 +250,17 @@ def is_valid(cube: SingularCube) -> bool:
     return True
 
 
+def on_outer_boundary(idx: Sequence[int], lengths: Sequence[int]) -> bool:
+    return any(i == 0 or i == m for i, m in zip(idx, lengths))
+
+
+def on_collapsed_part(idx: Sequence[int], lengths: Sequence[int]) -> bool:
+    """The far face of axis 1 union the boundary of the remaining axes."""
+    if idx[0] == lengths[0]:
+        return True
+    return any(i == 0 or i == m for i, m in zip(idx[1:], lengths[1:]))
+
+
 def grid_tables_per_point(axes: tuple[LineSpec, ...]) -> _GridTables:
     """`grids._grid_tables` by a walk over every grid point and axis."""
     shape = tuple(ax.length + 1 for ax in axes)
@@ -266,8 +283,37 @@ def grid_tables_per_point(axes: tuple[LineSpec, ...]) -> _GridTables:
         if idx and on_collapsed_part(idx, lengths):
             collapsed.append(p)
     return _GridTables(
-        lengths, *map(tuple, (tails, heads, boundary, collapsed, rim_tails, rim_heads))
+        tuple(tails),
+        tuple(heads),
+        frozenset(boundary),
+        *map(tuple, (collapsed, rim_tails, rim_heads)),
     )
+
+
+def relation(f: GridMap, g: GridMap) -> frozenset:
+    """`grids.direct_homotopy` of two comparable maps, walked index by index."""
+    lengths = f.lengths
+    t = f.target
+    fwd = True
+    bwd = True
+    for idx, a, b in zip(f.indices(), f.values, g.values):
+        if a == b:
+            continue
+        if f.mode != "absolute" and on_outer_boundary(idx, lengths):
+            # the constrained set must stay fixed through the homotopy
+            return frozenset()
+        if not t.has_arrow(a, b):
+            fwd = False
+        if not t.has_arrow(b, a):
+            bwd = False
+        if not (fwd or bwd):
+            return frozenset()
+    out = set()
+    if fwd:
+        out.add("fwd")
+    if bwd:
+        out.add("bwd")
+    return frozenset(out)
 
 
 def random_grid_map(
@@ -343,6 +389,59 @@ def random_direct_move(rng: random.Random, f: GridMap, tries: int = 30) -> Optio
         g = f.with_values(values)
         if grid_map_violation(g) is not None:
             continue
-        if direction in _relation(f, g):
+        if direction in relation(f, g):
             return g, direction
+    return None
+
+
+def find_certificate(
+    f: GridMap, g: GridMap, max_factor: int = 2
+) -> Optional[list[CertificateStep]]:
+    """Bounded best-effort search for a single-step certificate relating f
+    and g: try pairs of shrinking maps onto common shapes with subdivision
+    factor at most max_factor per axis.  Returns None when nothing is
+    found within the bound (which proves nothing)."""
+    if f.dims != g.dims:
+        return None
+    require_valid(f)
+    require_valid(g)
+
+    def axis_tables(m_src: int, m_dst: int) -> list[tuple[int, ...]]:
+        """Standard-line shrinking tables from length m_src onto m_dst, in
+        lexicographic order: a step at position i is a digraph map iff i
+        and the value there have the same parity."""
+        tables = [(0,)]
+        for i in range(m_src):
+            tables = [
+                tab + (tab[-1] + step,)
+                for tab in tables
+                for step in (0, 1)
+                if 0 <= m_dst - tab[-1] - step <= m_src - i - 1
+                and (step == 0 or tab[-1] % 2 == i % 2)
+            ]
+        return tables
+
+    def combos(per_axis, limit=64):
+        out = [[]]
+        for tabs in per_axis:
+            out = [c + [t] for c in out for t in tabs][:limit]
+        return out
+
+    for factor in range(1, max_factor + 1):
+        common = tuple(max(a, b) * factor for a, b in zip(f.lengths, g.lengths))
+        per_axis_f = [axis_tables(cm, m) for cm, m in zip(common, f.lengths)]
+        per_axis_g = [axis_tables(cm, m) for cm, m in zip(common, g.lengths)]
+        if not all(per_axis_f) or not all(per_axis_g):
+            continue
+        g_shrinks = [ShrinkingMap.from_tables(tg) for tg in combos(per_axis_g)]
+        g_subdivisions = [(hg, subdivide(g, hg)) for hg in g_shrinks]
+        for tf in combos(per_axis_f):
+            hf = ShrinkingMap.from_tables(tf)
+            fbar = subdivide(f, hf)
+            for hg, gbar in g_subdivisions:
+                _require_comparable(fbar, gbar)
+                rel = relation(fbar, gbar)
+                for direction in ("fwd", "bwd"):
+                    if direction in rel:
+                        return [CertificateStep(hf, hg, direction)]
     return None

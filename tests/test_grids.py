@@ -41,7 +41,6 @@ from digraph_homology.grids import (
     constant_grid_map,
     direct_homotopy,
     extend,
-    find_certificate,
     glmy_hurewicz,
     grid_map_from_json,
     grid_map_to_json,
@@ -50,7 +49,6 @@ from digraph_homology.grids import (
     hurewicz_class,
     inverse_j,
     loop_h_prime,
-    minimal_path,
     require_valid,
     shrink_by_pair_insertions,
     subdivide,
@@ -68,6 +66,7 @@ from digraph_homology.randomgen import (
     random_shrinking,
 )
 import oracles
+from oracles import find_certificate
 
 C4 = cycle_digraph(4)
 
@@ -161,7 +160,8 @@ def test_concat_examples():
     g = winding()
     double = concat_mu(1, g, g)
     assert double.values == g.values + g.values[1:]
-    assert minimal_path(double) == (0, 1, 2, 3, 0, 1, 2, 3, 0)
+    # the loop with its stationary repeats collapsed
+    assert tuple(v for v, _ in itertools.groupby(double.values)) == (0, 1, 2, 3, 0, 1, 2, 3, 0)
 
     f = constant_grid_map(C4, 0, (2, 2))
     h = constant_grid_map(C4, 0, (2, 2))
@@ -236,14 +236,6 @@ def test_verify_one_step_and_certificates():
     assert verify_homotopy_certificate(sub, g, back)
     assert not verify_homotopy_certificate(sub, g, [CertificateStep(None, None, "bwd")])
     assert verify_homotopy_certificate(g, g, [])
-
-
-def test_find_certificate():
-    c2 = constant_grid_map(C4, 0, (2,))
-    c4m = extend(c2, (4,))
-    cert = find_certificate(c2, c4m)
-    assert cert is not None
-    assert verify_homotopy_certificate(c2, c4m, cert)
 
 
 def test_hurewicz_chain_examples():
@@ -339,17 +331,6 @@ def test_inverse_negates_class_on_random_loops():
             continue
         done += 1
         assert glmy_hurewicz(inverse_j(1, f)) == -glmy_hurewicz(f)
-
-
-def test_minimal_path_examples():
-    const = constant_grid_map(C4, 0, (4,))
-    assert minimal_path(const) == (0,)
-    g = winding()
-    assert minimal_path(g) == (0, 1, 2, 3, 0)
-    sub = subdivide(g, shrink_by_pair_insertions([8], [[3]]))
-    assert minimal_path(sub) == minimal_path(g)
-    with pytest.raises(WrongDimensionError):
-        minimal_path(constant_grid_map(C4, 0, (2, 2)))
 
 
 def test_relative_boundary_compatibility_signed():
@@ -458,11 +439,11 @@ def free_grid_map(rng: random.Random, specs, mode: str) -> GridMap:
     template = GridMap(tuple(specs), (0,) * grids._size_of(lengths), COMPLETE)
     values = []
     for idx in template.indices():
-        if mode == "pair" and grids.on_outer_boundary(idx, lengths):
+        if mode == "pair" and oracles.on_outer_boundary(idx, lengths):
             values.append(0)
-        elif mode == "triple" and grids.on_collapsed_part(idx, lengths):
+        elif mode == "triple" and oracles.on_collapsed_part(idx, lengths):
             values.append(0)
-        elif mode == "triple" and grids.on_outer_boundary(idx, lengths):
+        elif mode == "triple" and oracles.on_outer_boundary(idx, lengths):
             values.append(rng.randrange(2))
         else:
             values.append(rng.randrange(4))
@@ -532,7 +513,7 @@ def reference_violation(f: GridMap):
         return f"basepoint {f.base!r} is not a vertex of the target"
     if f.mode == "pair":
         for idx in f.indices():
-            if grids.on_outer_boundary(idx, lengths) and f.value(idx) != f.base:
+            if oracles.on_outer_boundary(idx, lengths) and f.value(idx) != f.base:
                 return f"boundary vertex {idx} maps to {f.value(idx)!r}, not the basepoint"
         return None
     if f.sub is None:
@@ -542,19 +523,19 @@ def reference_violation(f: GridMap):
     if not f.sub.has_vertex(f.base):
         return "basepoint must lie in the constraint subdigraph"
     for idx in f.indices():
-        if grids.on_collapsed_part(idx, lengths) and f.value(idx) != f.base:
+        if oracles.on_collapsed_part(idx, lengths) and f.value(idx) != f.base:
             return f"vertex {idx} on the collapsed part maps to {f.value(idx)!r}, not the basepoint"
-        if grids.on_outer_boundary(idx, lengths) and not f.sub.has_vertex(f.value(idx)):
+        if oracles.on_outer_boundary(idx, lengths) and not f.sub.has_vertex(f.value(idx)):
             return f"boundary vertex {idx} maps outside the constraint subdigraph"
     for idx in f.indices():
-        if not grids.on_outer_boundary(idx, lengths):
+        if not oracles.on_outer_boundary(idx, lengths):
             continue
         for k in range(f.dims):
             if idx[k] >= lengths[k]:
                 continue
             nxt = list(idx)
             nxt[k] += 1
-            if not grids.on_outer_boundary(nxt, lengths):
+            if not oracles.on_outer_boundary(nxt, lengths):
                 continue
             if not any(j != k and idx[j] in (0, lengths[j]) for j in range(f.dims)):
                 continue
@@ -595,7 +576,7 @@ def test_grid_map_violation_matches_per_index_reference(rng, mode, lengths, muta
     f = random_valid_map(rng, mode, lengths)
     assert grid_map_violation(f) == reference_violation(f) is None
     # mutate boundary positions half of the time, where most conditions live
-    boundary = [p for p, idx in enumerate(f.indices()) if grids.on_outer_boundary(idx, lengths)]
+    boundary = [p for p, idx in enumerate(f.indices()) if oracles.on_outer_boundary(idx, lengths)]
     values = list(f.values)
     for _ in range(mutations):
         p = rng.choice(boundary) if rng.random() < 0.5 else rng.randrange(len(values))
@@ -664,6 +645,41 @@ def test_grid_tables_match_the_per_point_build(mode):
             values[rng.randrange(f.size)] = rng.randrange(4)
             for h in (f, f.with_values(values)):
                 assert grid_map_violation(h) == reference_violation(h)
+
+
+@pytest.mark.parametrize("mode", grids.MODES)
+def test_direct_homotopy_matches_the_per_index_relation(mode):
+    rng = random.Random(f"relation:{mode}")
+    seen = set()  # (whether a fixed position moved, the relation) of the valid pairs
+    for lengths in SHAPES:
+        for _ in range(40):
+            f = random_valid_map(rng, mode, lengths)
+            tables = grids._grid_tables(f.axes)
+            interior = [p for p in range(f.size) if p not in tables.boundary]
+            places = rng.choice([sorted(tables.boundary), tables.collapsed, interior])
+            values = list(f.values)
+            # one to three moves, each to a neighbour of the old value or anywhere
+            for _ in range(rng.randint(1, 3)):
+                p = rng.choice(places)
+                t, v = f.target, values[p]
+                values[p] = rng.choice([*t.out_neighbors(v), *t.in_neighbors(v), *t.vertices])
+            g = f.with_values(values)
+            fixed_moved = mode != "absolute" and any(f.values[p] != values[p] for p in tables.boundary)
+            for a, b in ((f, g), (g, f)):
+                expected = oracles.relation(a, b)
+                assert grids._relation(a, b) == expected
+                if validate_grid_map(g):
+                    assert direct_homotopy(a, b) == expected
+                    seen.add((fixed_moved, expected))
+                else:
+                    with pytest.raises(InvalidGridMapError):
+                        direct_homotopy(a, b)
+    relations = {frozenset(), frozenset({"fwd"}), frozenset({"bwd"}), frozenset({"fwd", "bwd"})}
+    # a move of the fixed boundary, possible in triple mode only, relates nothing
+    expected_seen = {(False, rel) for rel in relations}
+    if mode == "triple":
+        expected_seen.add((True, frozenset()))
+    assert seen == expected_seen
 
 
 def random_shrink_onto(draw_bits, axes) -> ShrinkingMap:
