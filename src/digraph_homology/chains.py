@@ -22,7 +22,7 @@ columns and solves sub coordinates through their `extended_echelon`.
 
 from __future__ import annotations
 
-from collections import ChainMap
+from collections import ChainMap, defaultdict
 from copy import copy
 from functools import cached_property, lru_cache, partial, wraps
 from typing import Callable, Optional, Sequence
@@ -551,11 +551,22 @@ class ChainComplexPair(Reducible):
 
 class DigraphComplex(Reducible):
     """The chain complex of a digraph in one homology theory, grown on
-    demand.  A theory gives `digraph`, `complex` (the ChainComplex in its
-    basis coordinates), `chain_vector(chain)` -> (degree, coordinates),
-    its inverse `coords_to_chain(n, vec)`, and `inclusion_cols(sub, n)`:
-    the degree-n basis of `sub`, the complex of a subdigraph, in these
-    coordinates.  `reduced` is the same complex augmented in degree -1."""
+    demand.  A theory gives `grow(maxdeg)`, which builds `complex` (the
+    ChainComplex in its basis coordinates), `chain_vector(chain)` ->
+    (degree, coordinates), its inverse `coords_to_chain(n, vec)`,
+    `inclusion_cols(sub, n)`: the degree-n basis of `sub`, the complex of a
+    subdigraph, in these coordinates, and `cube_coords(n, values)`: the
+    coordinates of one singular n-cube of the digraph, given by its values
+    tuple.  `reduced` is the same complex augmented in degree -1.
+
+    `cube_tables[n]` keeps `cube_coords` of every n-cube read so far, as
+    {values tuple: coordinates}; it is filled by its readers, lives and
+    dies with the complex, and is shared by the `reduced` view."""
+
+    def __init__(self, g):
+        self.digraph = g
+        self.complex = ChainComplex({}, {}, self.grow)
+        self.cube_tables: defaultdict[int, dict[tuple, dict]] = defaultdict(dict)
 
     def homology(self, n: int) -> AbelianGroup:
         return self.complex.homology(n).group

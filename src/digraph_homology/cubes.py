@@ -34,8 +34,9 @@ from itertools import count, permutations
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .chains import BoundExceededError, Chain, ChainComplex, DigraphComplex, GroupMap, Theory, hom_map
+from .chains import BoundExceededError, Chain, DigraphComplex, GroupMap, Theory, hom_map
 from .digraphs import Digraph
+from .intlinalg import vec_addmul
 from .paths import PathChain, build_omega_complex, is_regular
 
 
@@ -275,12 +276,11 @@ class CubicalComplex(DigraphComplex):
     rebuilds its tables from the degree below."""
 
     def __init__(self, g: Digraph):
-        self.digraph = g
         # per degree: the values tuples of the basis cubes, and their positions
         self.basis: dict[int, list[tuple]] = {}
         self.index: dict[int, dict[tuple, int]] = {}
         self._levels: list[_Level] = []
-        self.complex = ChainComplex({}, {}, self.grow)
+        super().__init__(g)
 
     def grow(self, maxdim: int) -> "CubicalComplex":
         """Build every degree up to maxdim that is not built yet.  A degree
@@ -330,6 +330,11 @@ class CubicalComplex(DigraphComplex):
                 raise ValueError("chain contains a cube outside the enumerated basis")
             vec[row] = vec.get(row, 0) + coeff
         return {r: v for r, v in vec.items() if v}
+
+    def cube_coords(self, n: int, values: tuple) -> dict:
+        """Quotient coordinates of one singular n-cube: {its row: 1}, or {}
+        if it is degenerate."""
+        return self.values_coords(n, {values: 1})
 
     def chain_vector(self, ch: CubicalChain) -> tuple[int, dict]:
         """Degree and quotient coordinates of a chain: degenerate cubes are dropped."""
@@ -405,22 +410,24 @@ def iota(arg) -> PathChain:
     chains): each corner-to-corner path maps to its vertex image, and
     images with equal adjacent vertices vanish."""
     if isinstance(arg, SingularCube):
-        return iota_values(arg.dim, {arg.values: 1})
+        return PathChain(arg.dim, iota_terms(arg.dim, arg.values))
     if isinstance(arg, CubicalChain):
-        return iota_values(arg.degree, {c.values: k for c, k in arg.terms.items()})
+        out: dict[tuple, int] = {}
+        for cube, coeff in arg.terms.items():
+            vec_addmul(out, iota_terms(arg.degree, cube.values), coeff)
+        return PathChain(arg.degree, out)
     raise TypeError("iota expects a cube or a cubical chain")
 
 
-def iota_values(n: int, terms: dict[tuple, int]) -> PathChain:
-    """`iota` of the sum {values tuple: coeff} of singular n-cubes."""
-    omega = _tables(n).omega
+def iota_terms(n: int, values: tuple) -> dict[tuple, int]:
+    """`iota` of the singular n-cube with these values as {path: coeff},
+    zero coefficients dropped."""
     out: dict[tuple, int] = {}
-    for values, coeff in terms.items():
-        for gather, sign in omega:
-            image = gather(values)
-            if is_regular(image):
-                out[image] = out.get(image, 0) + sign * coeff
-    return PathChain(n, out)
+    for gather, sign in _tables(n).omega:
+        image = gather(values)
+        if is_regular(image):
+            out[image] = out.get(image, 0) + sign
+    return {path: c for path, c in out.items() if c}
 
 
 def comparison_L(g: Digraph, n: int, reduced: bool = False) -> GroupMap:

@@ -17,7 +17,10 @@ it at flat positions: from per-axis position tables (`_positions`) and,
 per grid shape and orientation, from cached tables of its arrows,
 boundary and collapsed part (`_grid_tables`) and of its cells' corners
 (`_cell_table`); only a message turns a position into an index tuple.
-The Hurewicz classes read the cells as values tuples (`_cells`).
+A Hurewicz class gathers the cells' corners in one pass (`_cells`) and
+adds up the coordinates of their cubes from the cube table of the
+target's complex, in which each singular cube's coordinates are worked
+out once per complex (`DigraphComplex.cube_tables`).
 
 Validation contract: every map is checked once, when it is made.
 `GridMap.__post_init__` runs the one validity check, `_violation`, and
@@ -39,16 +42,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
 from math import prod
-from typing import NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .chains import HomologyClass
-from .cubes import (
-    CubicalChain,
-    SingularCube,
-    build_cubical_complex,
-    build_cubical_pair,
-    iota_values,
-)
+from .cubes import CubicalChain, SingularCube, build_cubical_complex, build_cubical_pair
 from .digraphs import (
     Digraph,
     LineSpec,
@@ -162,10 +160,6 @@ class GridMap:
 
     def value(self, idx: Sequence[int]):
         return self.values[self.flat_index(idx)]
-
-    def indices(self):
-        """Index tuples in row-major order, the order of `values`."""
-        return product(*map(range, self._shape))
 
     def with_values(self, values) -> "GridMap":
         return GridMap(self.axes, tuple(values), self.target, self.mode, self.base, self.sub)
@@ -696,32 +690,31 @@ def hurewicz_chain(f: GridMap) -> CubicalChain:
     arrow points backward).  Degenerate cubes are kept at chain level.
     """
     require_valid(f)
+    terms: dict[tuple, int] = {}
+    for cube, sign in _cells(f):
+        terms[cube] = terms.get(cube, 0) + sign
     n, target = f.dims, f.target
-    return CubicalChain(n, {SingularCube(n, v, target): c for v, c in _cells(f).items()})
+    return CubicalChain(n, {SingularCube(n, v, target): c for v, c in terms.items()})
 
 
-def _cells(f: GridMap) -> dict[tuple, int]:
-    """The cell decomposition of a map taken as valid (see `hurewicz_chain`)
-    as {cube values tuple: coefficient}, cells first met first."""
+def _cells(f: GridMap):
+    """The unit cells of a map taken as valid (see `hurewicz_chain`), as
+    (cube values tuple, sign) pairs in the row-major order of the cells."""
     n = f.dims
     if n == 0:
         raise WrongDimensionError("cell decomposition needs dimension >= 1")
-    positions, signs = _cell_table(f.axes)
-    corners = map(f.values.__getitem__, positions)
-    terms: dict[tuple, int] = {}
+    gather, signs = _cell_table(f.axes)
     # zip(*[it] * 2**n) cuts the corner stream into one values tuple per cell
-    for cube, sign in zip(zip(*[corners] * 2**n), signs):
-        terms[cube] = terms.get(cube, 0) + sign
-    return terms
+    return zip(zip(*[iter(gather(f.values))] * 2**n), signs)
 
 
 @lru_cache(maxsize=256)
-def _cell_table(axes: tuple[LineSpec, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Corner positions and signs of the unit cells of grids on these axes,
-    cells in row-major order of their low corners: each cell's 2^n corners
-    in binary-counter order, each coordinate read forward or backward as
-    the cell's arrow points, all concatenated; and each cell's sign
-    (-1)^(number of backward axes)."""
+def _cell_table(axes: tuple[LineSpec, ...]) -> tuple[Callable[[tuple], tuple], tuple[int, ...]]:
+    """The gather of the corners of the unit cells of grids on these axes
+    from their values, and the cells' signs.  Cells come in row-major order
+    of their low corners, each cell's 2^n corners in binary-counter order,
+    each coordinate read forward or backward as the cell's arrow points;
+    a cell's sign is (-1)^(number of backward axes)."""
     n = len(axes)
     strides = _strides([ax.length + 1 for ax in axes])
     # per forward pattern (bit n - 1 - k set iff the axis-(k + 1) arrow
@@ -744,31 +737,45 @@ def _cell_table(axes: tuple[LineSpec, ...]) -> tuple[tuple[int, ...], tuple[int,
         offsets, sign = corners[pattern]
         positions.extend([origin + d for d in offsets])
         signs.append(sign)
-    return tuple(positions), tuple(signs)
+    # a grid with cells has at least two corners: itemgetter returns a tuple
+    gather = itemgetter(*positions) if positions else lambda values: ()
+    return gather, tuple(signs)
 
 
 def hurewicz_class(f: GridMap) -> HomologyClass:
     """Class of the cell decomposition in cubical homology: absolute for
     pair mode, relative to the constraint subdigraph for triple mode."""
-    require_valid(f)
-    n = f.dims
-    cells = _cells(f)
-    if f.mode == "triple":
-        pair = build_cubical_pair(f.target, f.sub, n + 1)
-        return pair.pair.quotient_class(n, pair.ambient.values_coords(n, cells))
-    cc = build_cubical_complex(f.target, n + 1)
-    return cc.complex.class_of(n, cc.values_coords(n, cells))
+    return _hurewicz(f, build_cubical_complex, build_cubical_pair)
 
 
 def glmy_hurewicz(f: GridMap) -> HomologyClass:
     """Class of the cell decomposition pushed into path homology (the
     comparison map applied to the cubical class, computed at chain level)."""
+    return _hurewicz(f, build_omega_complex, build_omega_pair)
+
+
+def _hurewicz(f: GridMap, build_complex, build_pair) -> HomologyClass:
+    """The class of f's cells in the theory of these builders, read through
+    the cube table of the target's complex: each cell adds its cube's
+    coordinates, computed by `cube_coords` when the table first meets it."""
     require_valid(f)
     n = f.dims
-    pc = iota_values(n, _cells(f))
+    cells = _cells(f)
     if f.mode == "triple":
-        return build_omega_pair(f.target, f.sub, n + 1).quotient_class(pc)
-    return build_omega_complex(f.target, n + 1).class_of(pc)
+        pair = build_pair(f.target, f.sub, n + 1)
+        dc, read = pair.ambient, pair.pair.quotient_class
+    else:
+        dc = build_complex(f.target, n + 1)
+        read = dc.complex.class_of
+    table = dc.cube_tables[n]
+    vec: dict[int, int] = {}
+    for cube, sign in cells:
+        coords = table.get(cube)
+        if coords is None:
+            coords = table[cube] = dc.cube_coords(n, cube)
+        for r, c in coords.items():
+            vec[r] = vec.get(r, 0) + sign * c
+    return read(n, {r: c for r, c in vec.items() if c})
 
 
 def loop_h_prime(f: GridMap) -> PathChain:

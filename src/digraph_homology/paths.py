@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .chains import BoundExceededError, Chain, ChainComplex, DigraphComplex, NotACycleError, Theory
+from .chains import BoundExceededError, Chain, DigraphComplex, NotACycleError, Theory
 from .digraphs import Digraph
 from .intlinalg import Echelon, combination, kernel_echelon
 
@@ -130,11 +130,10 @@ class OmegaComplex(DigraphComplex):
     """
 
     def __init__(self, g: Digraph):
-        self.digraph = g
         self.allowed: dict[int, list[tuple]] = {}
         self.path_index: dict[int, dict[tuple, int]] = {}
         self._echelons: dict[int, Echelon] = {}
-        self.complex = ChainComplex({}, {}, self.grow)
+        super().__init__(g)
 
     def grow(self, maxdeg: int) -> "OmegaComplex":
         """Build every degree up to maxdeg that is not built yet.  A degree
@@ -194,13 +193,26 @@ class OmegaComplex(DigraphComplex):
     def lattice_coords(self, chain: PathChain) -> Optional[dict]:
         """Coordinates of an allowed chain in the degree-n lattice basis,
         or None if the chain is not in the lattice."""
-        n = chain.degree
+        return self._terms_coords(chain.degree, chain.terms)
+
+    def cube_coords(self, n: int, values: tuple) -> dict:
+        """Lattice coordinates of iota of one singular n-cube, read from its
+        paths without a `PathChain`."""
+        from .cubes import iota_terms  # cubes imports this module
+
+        vec = self._terms_coords(n, iota_terms(n, values))
+        if vec is None:
+            raise NotACycleError("chain is not in the allowed-boundary lattice")
+        return vec
+
+    def _terms_coords(self, n: int, terms: dict) -> Optional[dict]:
+        """`lattice_coords` of the chain {path: nonzero coeff} of degree n."""
         self.complex.grow(n)
         if n not in self.allowed:
             raise ValueError(f"no allowed paths of degree {n}")
         index = self.path_index[n]
         vec: dict[int, int] = {}
-        for path, coeff in chain.terms.items():
+        for path, coeff in terms.items():
             if path not in index:
                 return None
             vec[index[path]] = coeff

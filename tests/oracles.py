@@ -5,12 +5,13 @@ Dense integer lattices on the full Smith form with transforms (`Lattice`,
 random unimodular matrices, the chain map of a digraph map on path chains
 (`pushforward`), the cubical connecting map read straight off the face maps
 (`connecting_face_formula`), the validity test of a singular cube
-(`is_valid`), the per-index grid predicates (`on_outer_boundary`,
-`on_collapsed_part`) and the per-index direct-homotopy relation
-(`relation`), the per-point walk that builds a grid's flat position tables
-(`grid_tables_per_point`), the random grid-map generators that check
-every candidate in full (`random_grid_map`, `random_direct_move`), and a
-bounded search for one-step homotopy certificates (`find_certificate`).
+(`is_valid`), the row-major index walk of a grid (`indices`), the
+per-index grid predicates (`on_outer_boundary`, `on_collapsed_part`) and
+direct-homotopy relation (`relation`), the per-point walk that builds a
+grid's flat position tables (`grid_tables_per_point`), the random
+grid-map generators that check every candidate in full
+(`random_grid_map`, `random_direct_move`), and a bounded search for
+one-step homotopy certificates (`find_certificate`).
 None of these runs in the program.  The search subdivides and reads
 validity through the program; the others share only the dense
 `_snf_full` and the data types with it.
@@ -250,6 +251,11 @@ def is_valid(cube: SingularCube) -> bool:
     return True
 
 
+def indices(f: GridMap):
+    """Index tuples of f's grid in row-major order, the order of `values`."""
+    return product(*map(range, f.shape))
+
+
 def on_outer_boundary(idx: Sequence[int], lengths: Sequence[int]) -> bool:
     return any(i == 0 or i == m for i, m in zip(idx, lengths))
 
@@ -296,7 +302,7 @@ def relation(f: GridMap, g: GridMap) -> frozenset:
     t = f.target
     fwd = True
     bwd = True
-    for idx, a, b in zip(f.indices(), f.values, g.values):
+    for idx, a, b in zip(indices(f), f.values, g.values):
         if a == b:
             continue
         if f.mode != "absolute" and on_outer_boundary(idx, lengths):
@@ -327,13 +333,13 @@ def random_grid_map(
 ) -> Optional[GridMap]:
     """`randomgen.random_grid_map` read off a constant template map."""
     template = constant_grid_map(target, base, lengths, mode, sub)
-    indices = list(template.indices())
+    points = list(indices(template))
     succ = {v: (v,) + target.out_neighbors(v) for v in target.vertices}
 
     for _ in range(tries):
         values: dict[tuple, object] = {}
         ok = True
-        for idx in indices:
+        for idx in points:
             cands = None
             for k in range(len(lengths)):
                 if idx[k] == 0:
@@ -361,7 +367,7 @@ def random_grid_map(
             values[idx] = rng.choice(sorted(cands, key=str))
         if not ok:
             continue
-        candidate = template.with_values([values[idx] for idx in indices])
+        candidate = template.with_values([values[idx] for idx in points])
         if grid_map_violation(candidate) is None:
             return candidate
     return None

@@ -438,7 +438,7 @@ def free_grid_map(rng: random.Random, specs, mode: str) -> GridMap:
     lengths = [ax.length for ax in specs]
     template = GridMap(tuple(specs), (0,) * grids._size_of(lengths), COMPLETE)
     values = []
-    for idx in template.indices():
+    for idx in oracles.indices(template):
         if mode == "pair" and oracles.on_outer_boundary(idx, lengths):
             values.append(0)
         elif mode == "triple" and oracles.on_collapsed_part(idx, lengths):
@@ -490,7 +490,7 @@ def reference_violation(f: GridMap):
         if not g.has_vertex(v):
             return f"value {v!r} is not a vertex of the target"
     lengths = f.lengths
-    for idx in f.indices():
+    for idx in oracles.indices(f):
         for k in range(f.dims):
             if idx[k] >= lengths[k]:
                 continue
@@ -512,7 +512,7 @@ def reference_violation(f: GridMap):
     if not g.has_vertex(f.base):
         return f"basepoint {f.base!r} is not a vertex of the target"
     if f.mode == "pair":
-        for idx in f.indices():
+        for idx in oracles.indices(f):
             if oracles.on_outer_boundary(idx, lengths) and f.value(idx) != f.base:
                 return f"boundary vertex {idx} maps to {f.value(idx)!r}, not the basepoint"
         return None
@@ -522,12 +522,12 @@ def reference_violation(f: GridMap):
         return "the constraint subdigraph is not a subdigraph of the target"
     if not f.sub.has_vertex(f.base):
         return "basepoint must lie in the constraint subdigraph"
-    for idx in f.indices():
+    for idx in oracles.indices(f):
         if oracles.on_collapsed_part(idx, lengths) and f.value(idx) != f.base:
             return f"vertex {idx} on the collapsed part maps to {f.value(idx)!r}, not the basepoint"
         if oracles.on_outer_boundary(idx, lengths) and not f.sub.has_vertex(f.value(idx)):
             return f"boundary vertex {idx} maps outside the constraint subdigraph"
-    for idx in f.indices():
+    for idx in oracles.indices(f):
         if not oracles.on_outer_boundary(idx, lengths):
             continue
         for k in range(f.dims):
@@ -576,7 +576,7 @@ def test_grid_map_violation_matches_per_index_reference(rng, mode, lengths, muta
     f = random_valid_map(rng, mode, lengths)
     assert grid_map_violation(f) == reference_violation(f) is None
     # mutate boundary positions half of the time, where most conditions live
-    boundary = [p for p, idx in enumerate(f.indices()) if oracles.on_outer_boundary(idx, lengths)]
+    boundary = [p for p, idx in enumerate(oracles.indices(f)) if oracles.on_outer_boundary(idx, lengths)]
     values = list(f.values)
     for _ in range(mutations):
         p = rng.choice(boundary) if rng.random() < 0.5 else rng.randrange(len(values))
@@ -903,3 +903,130 @@ def test_class_route_matches_chain_route():
     assert nonzero >= sum(w != 0 for _, w in known) + 6
     for f, w in known:
         assert hurewicz_class(f).coords == glmy_hurewicz(f).coords == (w,)
+
+
+# --- the cube tables ------------------------------------------------------------
+
+
+def clear_builders():
+    for builder in (build_omega_complex, build_omega_pair, build_cubical_complex, build_cubical_pair):
+        builder.cache_clear()
+
+
+def class_route_maps() -> list:
+    """The maps of `test_class_route_matches_chain_route`, in its order."""
+    maps = []
+    for m in (3, 4, 5, 6):
+        loops = {w: winding_loop(m, w) for w in (1, -1, 2, -2)}
+        maps += loops.values()
+        maps += [winding_loop(m, w, "absolute") for w in (1, -2)]
+        maps += [concat_mu(1, loops[1], loops[2]), concat_mu(1, loops[-1], loops[1])]
+        maps += [inverse_j(1, loops[-2]), inverse_j(1, loops[1])]
+    for w in (1, -2):
+        triple = cone_triple_map(winding_loop(4, w))
+        maps += [triple, inverse_j(2, triple), concat_mu(2, triple, triple)]
+    rng = random.Random(97)
+    for mode in grids.MODES:
+        for lengths in ((2,), (4,), (2, 2), (4, 2)):
+            maps += [random_valid_map(rng, mode, lengths) for _ in range(3)]
+    return maps
+
+
+def table_route_classes(f: GridMap):
+    try:
+        return hurewicz_class(f), glmy_hurewicz(f)
+    except NotACycleError:
+        return NotACycleError
+
+
+def count_misses(monkeypatch) -> list:
+    """Patch both theories' `cube_coords` and the lattice solve of the
+    path theory to record their calls; returns the record."""
+    from digraph_homology.cubes import CubicalComplex
+    from digraph_homology.paths import OmegaComplex
+
+    calls = []
+    for cls, name in ((CubicalComplex, "cube_coords"), (OmegaComplex, "cube_coords"), (OmegaComplex, "_terms_coords")):
+        method = getattr(cls, name)
+
+        def counted(self, *args, method=method, name=f"{cls.__name__}.{name}"):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_cube_tables_give_the_chain_route_classes_in_any_order():
+    maps = class_route_maps()
+    clear_builders()
+    expected = []
+    for f in maps:
+        try:
+            expected.append(chain_route_classes(f))
+        except NotACycleError:
+            expected.append(NotACycleError)
+    assert sum(e is NotACycleError for e in expected) < len(maps)
+
+    def read_in(order):
+        got = {p: table_route_classes(maps[p]) for p in order}
+        assert [got[p] for p in range(len(maps))] == expected
+
+    order = list(range(len(maps)))
+    random.Random(5).shuffle(order)
+    read_in(order)
+    read_in(order[::-1])
+    clear_builders()
+    read_in(order)
+
+
+def test_pair_and_triple_reads_share_the_target_table(monkeypatch):
+    clear_builders()
+    triple = cone_triple_map(winding_loop(4, 1))
+    m = triple.axes[1].length
+    # the cone filler's upper two rows, with a constant first row: a pair map
+    apex_row = tuple("+a" if 1 <= j <= m - 1 else 0 for j in range(m + 1))
+    pair = GridMap(triple.axes, (0,) * (m + 1) + apex_row + (0,) * (m + 1), CONE_C4, "pair", 0)
+    assert validate_grid_map(pair)
+    for build_complex, build_pair in ((build_cubical_complex, build_cubical_pair), (build_omega_complex, build_omega_pair)):
+        dc, dp = build_complex(CONE_C4, 3), build_pair(CONE_C4, C4, 3)
+        assert dp.ambient.cube_tables is dc.cube_tables is dc.reduced.cube_tables
+    calls = count_misses(monkeypatch)
+    pair_cubes = {cube for cube, _ in grids._cells(pair)}
+    triple_cubes = {cube for cube, _ in grids._cells(triple)}
+    assert pair_cubes & triple_cubes and triple_cubes - pair_cubes
+    hurewicz_class(pair)
+    assert calls.count("CubicalComplex.cube_coords") == len(pair_cubes)
+    calls.clear()
+    hurewicz_class(triple)
+    assert calls.count("CubicalComplex.cube_coords") == len(triple_cubes - pair_cubes)
+    calls.clear()
+    glmy_hurewicz(triple)
+    assert calls.count("OmegaComplex.cube_coords") == len(triple_cubes)
+    calls.clear()
+    glmy_hurewicz(pair)
+    assert calls.count("OmegaComplex.cube_coords") == len(pair_cubes - triple_cubes)
+    assert set(build_cubical_complex(CONE_C4, 3).cube_tables[2]) == pair_cubes | triple_cubes
+
+
+def test_a_second_read_solves_nothing(monkeypatch):
+    clear_builders()
+    calls = count_misses(monkeypatch)
+    maps = [winding_loop(5, -2), cone_triple_map(winding_loop(4, 1)), random_valid_map(random.Random(3), "pair", (4, 2))]
+    for f in maps:
+        first = table_route_classes(f)
+        assert {"OmegaComplex._terms_coords", "OmegaComplex.cube_coords", "CubicalComplex.cube_coords"} <= set(calls)
+        calls.clear()
+        assert table_route_classes(f) == first
+        assert calls == []
+
+
+def test_cache_clear_leaves_new_complexes_with_empty_tables():
+    hurewicz_class(winding())
+    glmy_hurewicz(winding())
+    old = [build(C4, 2) for build in (build_cubical_complex, build_omega_complex)]
+    assert all(dc.cube_tables[1] for dc in old)
+    clear_builders()
+    for build, dc in zip((build_cubical_complex, build_omega_complex), old):
+        new = build(C4, 2)
+        assert new is not dc and not any(new.cube_tables.values())
