@@ -14,7 +14,9 @@ A chain complex stores, per degree, an ordered generator basis and the
 boundary as sparse columns into the previous degree.  Homology groups are
 computed with explicit generator representatives so that induced maps
 (inclusions, quotients, connecting homomorphisms, comparison maps) come
-out as honest integer matrices in fixed coordinates.
+out as honest integer matrices in fixed coordinates.  H_n is read from
+the cokernel side: the `Cokernel` of d_{n+1} first, then the kernel of
+d_n on the cokernel generators it leaves free.
 
 A complex pair splits each degree by the `Cokernel` of its inclusion
 columns and solves sub coordinates through their `extended_echelon`.
@@ -217,31 +219,32 @@ class _Augmented(ChainComplex):
 class HomologyData:
     """Homology of a complex at one degree, with chosen generators.
 
+    Computed from the cokernel side: Q = C_n / im d_{n+1} is the `Cokernel`
+    of the d_{n+1} columns, and H_n is the kernel of d_n on Q.  d_n must
+    kill the relations that span the image (else BoundaryNotSquareZeroError);
+    it then kills Q's torsion generators too, since C_{n-1} is free.  So
+    the only kernel taken is the `kernel_echelon` of d_n on Q's free
+    generators: the rows the image did not clear, when no residual is left.
+
     Generators are ordered torsion part first (divisors increasing), then
-    the free part.  `class_vector` expresses any cycle in these
-    coordinates, reducing torsion coordinates into [0, d).
+    the free part: Q's torsion generators, then the kernel basis combined
+    over Q's free generators.  `class_vector` reads a cycle's class in Q
+    and solves its free part in the kernel basis, reducing torsion
+    coordinates into [0, d).
     """
 
     def __init__(self, complex: ChainComplex, n: int):
         self.complex = complex
         self.n = n
-        self._kernel = kernel_echelon(complex.boundary_cols.get(n, []), complex.dim(n - 1))
-        self._kernel_basis = self._kernel.basis_vectors()
-
-        image = Echelon()
-        for col in complex.boundary_cols.get(n + 1, []):
-            if col:
-                image.add(col)
-        relations = []
-        for w in image.basis_vectors():
-            y = self._kernel.solve(w)
-            if y is None:
-                raise BoundaryNotSquareZeroError(
-                    f"image at degree {n} does not lie in the kernel"
-                )
-            relations.append(y)
-        self._quotient = Cokernel(len(self._kernel_basis), relations)
-        self.group = self._quotient.group
+        quotient = Cokernel(complex.dim(n), complex.boundary_cols.get(n + 1, []))
+        if any(complex.boundary_of(n, rel) for rel in quotient.spanning):
+            raise BoundaryNotSquareZeroError(f"image at degree {n} does not lie in the kernel")
+        del quotient.spanning
+        self._quotient, self._torsion = quotient, len(quotient.group.torsion)
+        self._free = quotient.generators[self._torsion :]
+        boundaries = [complex.boundary_of(n, g) for g in self._free]
+        self._kernel = kernel_echelon(boundaries, complex.dim(n - 1))
+        self.group = AbelianGroup(len(self._kernel), quotient.group.torsion)
 
     @property
     def n_generators(self) -> int:
@@ -249,14 +252,19 @@ class HomologyData:
 
     def representative(self, j: int) -> dict:
         """Chain-level representative of the j-th homology generator."""
-        return combination(self._kernel_basis, self._quotient.generators[j])
+        if j < self._torsion:
+            return dict(self._quotient.generators[j])
+        return combination(self._free, self._kernel.basis_vectors()[j - self._torsion])
 
     def class_vector(self, vec: dict) -> tuple[int, ...]:
         """Coordinates of a cycle's class in the chosen generators."""
-        y = self._kernel.solve(vec)
-        if y is None:
+        s = self._torsion
+        y = self._quotient.sparse_coords(vec)
+        k = self._kernel.solve({pos - s: x for pos, x in y.items() if pos >= s})
+        if k is None:
             raise NotACycleError(f"chain is not a cycle in degree {self.n}")
-        return self._quotient.coords(y)
+        torsion = [y.get(pos, 0) % d for pos, d in enumerate(self.group.torsion)]
+        return tuple(torsion + [k.get(pos, 0) for pos in range(self.group.rank)])
 
 
 class HomologyClass:
@@ -742,6 +750,7 @@ class _DegreeAdapter:
         self.sub_dim = len(inclusion_cols)
         self.inclusion_cols = inclusion_cols
         quotient = Cokernel(ambient_dim, inclusion_cols)
+        del quotient.spanning  # nothing here reads it
         if quotient.group.torsion or quotient.group.rank != ambient_dim - self.sub_dim:
             raise NotASublatticeError("subcomplex is not a saturated degreewise sublattice")
         self.quot_dim = quotient.group.rank

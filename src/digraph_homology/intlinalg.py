@@ -8,20 +8,18 @@ is used anywhere.
 Vectors of the large matrices are sparse dicts.  `Echelon` is the one
 elimination loop for lattices: it spans images, and the `extended_echelon`
 of a column list gives kernels (`kernel_echelon`) and solutions
-(`Echelon.preimage`).  `Cokernel` presents Z^k / (relations) by
-eliminating unit pivots sparsely: homology groups and the quotients of
-complex pairs.  `_snf_full` sees only the non-unit residual block a
-`Cokernel` leaves.  The dense lattice references the tests check these
-against (`Lattice`, `kernel_lattice`, `quotient_group`,
-`smith_normal_form`, `integer_solve`) are in `tests/oracles.py`.
+(`Echelon.preimage`).  `Cokernel` presents Z^k / (relations) in one
+streaming Gauss-Jordan pass with unit pivots: the cokernel of a boundary,
+from which homology is read, and the quotients of complex pairs.
+`_snf_full` sees only the non-unit residual block a `Cokernel` leaves.
+The dense lattice references the tests check these against (`Lattice`,
+`kernel_lattice`, `quotient_group`, `smith_normal_form`, `integer_solve`)
+are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 
@@ -487,94 +485,81 @@ def kernel_echelon(cols: list[dict], nrows: int) -> Echelon:
 class Cokernel:
     """Z^rows / span(relations), relations given as sparse dicts.
 
-    Unit pivots are eliminated first, sparsely: the column with the fewest
-    nonzeros that has a ±1 entry, in that column the ±1 row with the
-    fewest nonzeros, ties broken by index, so nothing depends on set or
-    hash order.  Column operations clear the pivot row from the other
-    columns and are not recorded; each pivot then leaves the row
-    operation `row_l -= c_l * u * row_i` (u = c_i = ±1), which kills
-    coordinate i.  A unit alone in its row and its column is such a pivot
-    at once, with nothing to clear.  Whatever block is left has no unit
-    entry and goes to the dense `_snf_full`.
+    One streaming Gauss-Jordan pass with unit pivots.  A pivot vector has
+    1 at its row and 0 at every other pivot row, so one pass over a
+    relation's own entries reduces it against the pivots found so far.  A
+    remaining ±1 entry makes it a new pivot vector, at the unit row held by
+    the fewest pivot vectors, ties broken by the smaller index, so nothing
+    depends on set or hash order; that row is then cleared from the earlier
+    pivot vectors.  Relations with no unit entry are reduced again after
+    any pass that found a pivot.  Whatever is left misses every pivot row,
+    has no unit entry, and goes to the dense `_snf_full`.
 
     Generators are ordered torsion first (divisors increasing), then free:
     the rows outside the pivots and the residual block, in index order,
-    then the residual block's free part.  Only the two halves of the
-    transform that are read are kept.  `generators` holds each
-    generator's column of U^-1 as a vector of Z^rows; the row operations
-    read only pivot coordinates, so this is a unit vector or a column of
-    the residual's U^-1.  `sparse_coords` reads the rows of U that belong
-    to generators, stored per coordinate and found by running the row
-    operations backwards; `coords` is its dense form with torsion reduced.
-    For distinct unit relations the generators are the other rows in index
-    order, and `sparse_coords` projects onto them.
+    then the residual block's free part.  `generators` holds each
+    generator as a vector of Z^rows: a unit vector or a column of the
+    residual's U^-1.  `sparse_coords` reads the rows of U that belong to
+    generators, stored per coordinate; a pivot row's is minus the rest of
+    its pivot vector, read through those rows.  `coords` is its dense form
+    with torsion reduced.  For distinct unit relations the generators are
+    the other rows in index order, and `sparse_coords` projects onto them.
+    `spanning` lists the pivot vectors and the residual relations, which
+    span the same lattice as the relations, for a caller to check; callers
+    delete it, so that a kept `Cokernel` does not keep them.
     """
 
     def __init__(self, rows: int, relations: Sequence[dict]):
-        in_rows = Counter(chain.from_iterable(relations))
-        cols: dict[int, dict] = {}
-        row_cols: dict[int, set[int]] = {}
-        pivot_rows = set()
-        for j, rel in enumerate(relations):
-            if len(rel) == 1:
-                ((i, x),) = rel.items()
-                if (x == 1 or x == -1) and in_rows[i] == 1:
-                    pivot_rows.add(i)
-                    continue
-            if rel:
-                cols[j] = dict(rel)
-                for i in rel:
-                    row_cols.setdefault(i, set()).add(j)
-        heap = [(len(c), j) for j, c in cols.items()]
-        heapify(heap)
-        steps = []
-        while heap:
-            size, j = heappop(heap)
-            c = cols.get(j)
-            if c is None or len(c) != size:
-                continue  # stale entry; the column was pushed again when it changed
-            units = [i for i, x in c.items() if x == 1 or x == -1]
-            if not units:
-                continue  # pushed again if a later pivot changes it
-            i = min(units, key=lambda r: (len(row_cols[r]), r))
-            u = c[i]
-            del cols[j]
-            for r in c:
-                row_cols[r].discard(j)
-            # each update reads only the pivot column, so their order is free
-            for jj in row_cols.pop(i):
-                cc = cols[jj]
-                q = -cc[i] * u
-                for r, x in c.items():
-                    new = cc.get(r, 0) + q * x
-                    if new:
-                        if r not in cc:
-                            row_cols[r].add(jj)
-                        cc[r] = new
+        pivots: dict[int, dict] = {}
+        holders: dict[int, set[int]] = {}  # row -> the pivot rows whose vectors hold it
+        pending, residual = list(relations), []
+        while pending:
+            residual, found = [], False
+            for rel in pending:
+                acc: dict = {}
+                for i, x in rel.items():
+                    pv = pivots.get(i)
+                    if pv is None:
+                        acc[i] = acc.get(i, 0) + x
                     else:
-                        del cc[r]
-                        if r != i:
-                            row_cols[r].discard(jj)
-                if cc:
-                    heappush(heap, (len(cc), jj))
-                else:
-                    del cols[jj]
-            pivot_rows.add(i)
-            steps.append((i, u, c))
+                        for r, y in pv.items():
+                            if r != i:
+                                acc[r] = acc.get(r, 0) - x * y
+                v = {r: x for r, x in acc.items() if x}
+                units = [i for i, x in v.items() if x == 1 or x == -1]
+                if not units:
+                    if v:
+                        residual.append(v)
+                    continue
+                i = units[0] if len(units) == 1 else min(units, key=lambda r: (len(holders.get(r, ())), r))
+                if v[i] < 0:
+                    v = {r: -x for r, x in v.items()}
+                for p in holders.pop(i, ()):
+                    pv = pivots[p]
+                    held = pv.keys() - {p, i}
+                    vec_addmul(pv, v, -pv[i])
+                    for r in held - pv.keys():
+                        holders[r].discard(p)
+                    for r in pv.keys() - held - {p}:
+                        holders.setdefault(r, set()).add(p)
+                for r in v.keys() - {i}:
+                    holders.setdefault(r, set()).add(i)
+                pivots[i] = v
+                found = True
+            pending = residual if found else []
 
-        res_rows = sorted({r for c in cols.values() for r in c})
-        reached = pivot_rows.union(res_rows)
+        res_rows = sorted({r for c in residual for r in c})
+        reached = set(pivots).union(res_rows)
         # (generator as a vector of Z^rows, its row of U as {row: coeff})
         free = [({r: 1}, {r: 1}) for r in range(rows) if r not in reached]
         torsion, divisors = [], []
-        if cols:
+        if residual:
             where = {r: q for q, r in enumerate(res_rows)}
-            res_cols = sorted(cols)
-            block = [[0] * len(res_cols) for _ in res_rows]
-            for jj, j in enumerate(res_cols):
-                for r, x in cols[j].items():
+            block = [[0] * len(residual) for _ in res_rows]
+            for jj, c in enumerate(residual):
+                for r, x in c.items():
                     block[where[r]][jj] = x
-            snf = _snf_full(IntMatrix(block, cols=len(res_cols)))
+            snf = _snf_full(IntMatrix(block, cols=len(residual)))
             for p in range(len(res_rows)):
                 d = snf.divisors[p] if p < snf.rank else 0
                 if d == 1:
@@ -593,15 +578,16 @@ class Cokernel:
         for pos, (_, urow) in enumerate(torsion + free):
             for r, x in urow.items():
                 self._class_cols.setdefault(r, {})[pos] = x
-        # rows of U restricted to the generators, through the row operations backwards
-        for i, u, c in reversed(steps):
+        # e_i = -(the rest of its pivot vector) in the quotient; those rows are not pivots
+        for i, v in pivots.items():
             acc: dict = {}
-            for r, x in c.items():
+            for r, x in v.items():
                 below = self._class_cols.get(r)
                 if below and r != i:
-                    vec_addmul(acc, below, -u * x)
+                    vec_addmul(acc, below, -x)
             if acc:
                 self._class_cols[i] = acc
+        self.spanning = list(pivots.values()) + residual
 
     def sparse_coords(self, vec: dict) -> dict:
         """Class of a vector of Z^rows as a sparse dict {generator

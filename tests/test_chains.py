@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digraph_homology import chains
 from digraph_homology.chains import (
     CACHE_SIZE,
     BoundaryNotSquareZeroError,
@@ -21,6 +22,7 @@ from digraph_homology.chains import (
 )
 from digraph_homology.cubes import (
     CubicalChain,
+    CubicalComplex,
     SingularCube,
     build_cubical_complex,
     build_cubical_pair,
@@ -30,6 +32,7 @@ from digraph_homology.cubes import (
 from digraph_homology.digraphs import box_product, build_digraph, cone, cycle_digraph, suspension
 from digraph_homology.intlinalg import (
     AbelianGroup,
+    Cokernel,
     Echelon,
     IntMatrix,
     NotASublatticeError,
@@ -38,6 +41,7 @@ from digraph_homology.intlinalg import (
     vec_addmul,
 )
 from digraph_homology.paths import (
+    OmegaComplex,
     PathChain,
     build_omega_complex,
     build_omega_pair,
@@ -227,12 +231,14 @@ def small_complexes(draw):
 def _relation_matrix(hd):
     """The relation matrix HomologyData reduces: a basis of the image of
     the boundary into degree n, in coordinates of its kernel basis."""
+    c, n = hd.complex, hd.n
+    kernel = kernel_echelon(c.boundary_cols.get(n, []), c.dim(n - 1))
     image = Echelon()
-    for col in hd.complex.boundary_cols.get(hd.n + 1, []):
+    for col in c.boundary_cols.get(n + 1, []):
         if col:
             image.add(col)
-    k = len(hd._kernel)
-    cols = [hd._kernel.solve(w) for w in image.basis_vectors()]
+    k = len(kernel)
+    cols = [kernel.solve(w) for w in image.basis_vectors()]
     return IntMatrix.from_cols([[c.get(i, 0) for i in range(k)] for c in cols], rows=k)
 
 
@@ -445,6 +451,42 @@ def test_suspension_maps_match_the_composite():
     assert path_homology(rp2, 1) == AbelianGroup(0, (2,))
     check(rp2)
 
+
+
+def test_homology_takes_the_kernel_on_the_free_cokernel_generators_only(monkeypatch):
+    """d_n's kernel is taken only on the generators of C_n / im d_{n+1}
+    that are free: dim C_n minus the rank of d_{n+1} columns, not dim C_n."""
+    c4 = cycle_digraph(4)
+    cube = box_product(box_product(c4, c4), c4)
+    widths = []
+
+    def recording(cols, nrows):
+        widths.append(len(cols))
+        return kernel_echelon(cols, nrows)
+
+    monkeypatch.setattr(chains, "kernel_echelon", recording)
+    cases = [
+        (OmegaComplex, cube, 1, 66, 192),
+        (OmegaComplex, cube, 2, 129, 192),
+        (CubicalComplex, suspension(c4), 2, 8, 68),
+    ]
+    for cls, g, n, free, dim in cases:
+        c = cls(g).grow(n + 1).complex
+        quotient = Cokernel(c.dim(n), c.boundary_cols[n + 1])
+        assert (quotient.group, c.dim(n)) == (AbelianGroup(free), dim)
+        widths.clear()
+        c.homology(n)
+        assert widths == [free], (cls.__name__, n)
+
+
+@pytest.mark.parametrize("build_complex", [build_omega_complex, build_cubical_complex])
+def test_torsion_class_of_the_projective_plane(build_complex):
+    hd = build_complex(rp2_face_poset(), 2).complex.homology(1)
+    assert hd.group == AbelianGroup(0, (2,))
+    rep = hd.representative(0)
+    assert rep and not hd.complex.boundary_of(1, rep)
+    assert hd.class_vector(rep) == (1,)
+    assert hd.class_vector({i: 2 * x for i, x in rep.items()}) == (0,)
 
 # --- the entry points every theory shares ------------------------------------
 

@@ -411,23 +411,25 @@ def test_pinned_suspension_and_comparison_coordinates():
         [(0, 5), (1, 3), (1, 4), (2, 0), (3, 0), (4, 1), (4, 5), (5, 1), (5, 2)],
     )
     cases = [
-        (cycle_digraph(3), ((1,),), [{(2, 0): 1, (0, 1): 1, (1, 2): 1}]),
+        (cycle_digraph(3), ((-1,),), ((1,),), [{(2, 0): 1, (0, 1): 1, (1, 2): 1}]),
         (
             box_product(cycle_digraph(4), line),
+            ((-1,),),
             ((1,),),
-            [{((3, 1), (0, 1)): 1, ((2, 1), (3, 1)): 1, ((1, 1), (2, 1)): 1, ((0, 1), (1, 1)): 1}],
+            [{((3, 1), (0, 1)): 1, ((0, 1), (1, 1)): 1, ((1, 1), (2, 1)): 1, ((2, 1), (3, 1)): 1}],
         ),
         (
             r,
+            ((-1, 0), (0, 1)),
             ((1, 0), (0, 1)),
-            [{(1, 3): 1, (3, 0): 1, (0, 5): 1, (5, 1): 1}, {(2, 0): 1, (0, 5): 1, (5, 2): 1}],
+            [{(1, 3): 1, (3, 0): 1, (0, 5): 1, (4, 5): -1, (4, 1): 1}, {(2, 0): 1, (0, 5): 1, (5, 2): 1}],
         ),
     ]
-    for x, matrix_1, representatives in cases:
+    for x, suspension_1, comparison_1, representatives in cases:
         assert cubical_suspension_map(x, 0).matrix.data == ()
         assert comparison_L(x, 0).matrix.data == ((1,),)
-        assert cubical_suspension_map(x, 1).matrix.data == matrix_1
-        assert comparison_L(x, 1).matrix.data == matrix_1
+        assert cubical_suspension_map(x, 1).matrix.data == suspension_1
+        assert comparison_L(x, 1).matrix.data == comparison_1
         cc = build_cubical_complex(x, 2)
         hd = cc.complex.homology(1)
         chains = [cc.coords_to_chain(1, hd.representative(j)) for j in range(hd.n_generators)]

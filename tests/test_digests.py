@@ -60,31 +60,31 @@ def _digest(g) -> str:
 
 
 PINNED = [
-    ("random0", "aa041f4d0372c17c3995f29a5fc0033ba3b5966e6950026901dc34c3d3cc6356"),
-    ("random1", "c12c5c11448ba6cc4853e328dee0c332f6979b987834f667624ddda331c6502c"),
-    ("random2", "7601d9b8ed5bc939f03fbd514aec6dd55b082d500a2f6bbc0dda72a41ed66112"),
-    ("random3", "cfc7dc940c0065a31a69a3786e9a48b707be28accab8f0318bdb0525ebee9846"),
-    ("random4", "636d79c9136eda18e0b8596c26b6b42da10e25e8c10a9bdd0186661e95d668d0"),
-    ("random5", "9b3842c9a4063563c144d096d9a998375d828e757ff564b1542974f2080658c4"),
-    ("random6", "091e6692c0f68d8b31fdfc081183817c987f032ca734d53481949a790bac95bd"),
-    ("random7", "7ec7c1b22a275c0968e46bdaf8e04e67dd1267a5e3348f4fcd7b2a5e7732b65a"),
-    ("random8", "fe8fd4d7bbb1e85ad1ada0cf45ac86db383abaa22b8a487fbff5d1ec562a594d"),
+    ("random0", "275d16d84f803e48ab52352872eacbf47b185f7bc1cf95b024cf77b89c43effa"),
+    ("random1", "1ccd64bb9905f2e837ae400a46b4beed93c070521461b14084f294822a313970"),
+    ("random2", "9f85431c084551fdf3ea337b1da6567306fab967bffd9e6610c501d0231fdee7"),
+    ("random3", "723b3ef9fa9cf92b2601c3cc998cae46250a3996679914f76b7606a4f7573c5c"),
+    ("random4", "c76d2aff1241bd2ef5bf48250b06b7d332d0f995afb22854058b01af33199f93"),
+    ("random5", "8bba5a7cf880b250a582cd59e6cf53aa49df0101f96c3883ac57591779f8913c"),
+    ("random6", "9104ae146038e43ab9443743cc9054c187264fb94327fd0f0bc15c6c6c112a59"),
+    ("random7", "073d6baa599b3fc321c46f7ce66d76c1cc29cdce55557a5cad9c4964bf4c610f"),
+    ("random8", "7e251b5ed79ea0f77df2ae7ef6fef933e8e7bce6d7dd7d8fca408f5af8716b3d"),
     ("random9", "d82d0a0984eeaae91bdae1838964f78f8b489887764d63e37102c91b07c23b79"),
-    ("random10", "9ef5e6ee4dc4ecda66a3afae9707f50bdd4db45768b461122dbe04a8615de69e"),
-    ("random11", "f1b877d47b1565529cff0b981ab0ce8ad5b1970d0aa85433089e32261b8e0aa9"),
-    ("random12", "da6b473bb22b7e1b4667db24d69e7760d86c5e9bd1a6aec4e85dc25cdc7a34ba"),
-    ("random13", "69d9d1a0effd9b51f7712e290fe2648b1b2e892cdcc9fc269286ee6177613146"),
-    ("random14", "7433d91e8e751a91247622d295b95b58be9e09a8f862ad66b4ed885cd86970c7"),
-    ("random15", "6597e3ec788719d7bf86906d8fe2c3e1ebf9a8e235ae7d38c0db87704c5773a8"),
-    ("random16", "10d5432523fe5410cad3a6645c90a4b9e05c0d2c9b62e38181c9686b2b12a62b"),
-    ("random17", "b071b79efccc32a673c4b66a0fbde81d42dbf22fd87bc1e4ba82243485a79705"),
-    ("random18", "a5098d384bf014d9d957e46f22dcb1c0285d7f21a2aadd9b4e6a46496cfb2eba"),
-    ("random19", "84a9143198c2a39819199de7cd44c400ee4a98c4ad15872553bb58e029c55e9a"),
-    ("C3", "e74e56381988f8ea4039ab5b6c6c8b8836aa0e54467cc4d165ae45b03e8ab1df"),
-    ("C4", "566638881982bf418ed7d09a914cd3972d6773c0729fb3646d4069f08421e512"),
-    ("C5", "0a51eaa7248dfc535bc68d6f0c0b5554d6228dff8dd6289dbc0ec3768131d81d"),
-    ("C6", "0c5c96bc81477a45ba6b1ac2139f8021ce984e9af08c3715c320c8eda1373121"),
-    ("SC4", "39c5878199a7ecc7ef8a738e24b751a86412dccdac751fabfd4b386bd585380c"),
+    ("random10", "8323a3174f87a7f7a17c502ff507dcd7866edc6b5370de2d1fac145a7ccaaa6a"),
+    ("random11", "095ebc2abf2c2e374e604abd1af1bca364f7aaa450e38a3e90aa0228d1888df7"),
+    ("random12", "37f3083f473bf24501e0a3ac045c98b34d1e093bd4c77d0df653265229557633"),
+    ("random13", "864fc8ee0aa40e8b05f521a061cb2b88f5eb1b6e27fd73a56d1d1620c07572b8"),
+    ("random14", "dcfa92b85e3debccbf0bb32b5a71b86f8c8ab2cee53f91f9012009b792f478e8"),
+    ("random15", "a523b931ed75a5401cebbdbc596e07f16308e77e11438774182401dab165803d"),
+    ("random16", "10040378f0bd10e71b68afe4beb1289b0855d33ff8e69334c0a8cad46ff54620"),
+    ("random17", "d382fb46b2db13d22f21a8fbe0326081241a71e18be15271f6e6765f68bdaaee"),
+    ("random18", "ff0d37e36e8849ec15ebc6f0abbb565ad5bb17b0fcafcaf98758afeddbacdc46"),
+    ("random19", "adcb7ceffe2b5df29a90880d52b76587852431eeca0055804d57cd72dedaef3b"),
+    ("C3", "34d2ea11a0c775ebb1584b9d35c4b0f74cc679838fc08220fb066201f4f4988c"),
+    ("C4", "9824d2873d12046c33fc028c493b13e9bea14eb9d17a3c325b39fcd415b3572c"),
+    ("C5", "8c933064b5d8e142144f6b9995c57f253b246f07287cbf061024fcd6989645ff"),
+    ("C6", "9463930e3f22f8d676478575b23c1198372e700e1704c3d5c257e7ef57be18ce"),
+    ("SC4", "caf194c86aa881e7d93b41baf9f966eb46ad8d1f059b1ec85b427942655566e5"),
 ]
 
 

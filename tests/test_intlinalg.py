@@ -255,8 +255,10 @@ def test_cokernel_matches_dense_smith_form(m, scales):
 
 
 def test_cokernel_pivot_order():
-    # the sparsest column with a unit goes first: column 1 kills row 2, so
-    # column 0 reduces to {0: 1, 1: 1} and kills row 0; row 1 is the generator
+    # relations are taken in order, each at its unit row held by the fewest
+    # pivot vectors, then the smaller index: column 0 (no pivot vectors yet)
+    # pivots at row 0; column 1 misses row 0, pivots at row 2 and clears it
+    # from the first, which becomes {0: 1, 1: 1}; row 1 is the generator
     q = Cokernel(3, [{0: 1, 1: 1, 2: 1}, {2: -1}])
     assert q.group == AbelianGroup(1)
     assert q.generators == [{1: 1}]
