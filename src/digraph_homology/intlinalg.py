@@ -416,7 +416,7 @@ class Echelon:
     def basis_vectors(self) -> list[dict]:
         """The basis in position order (a cached list: do not modify it)."""
         if self._basis is None:
-            self._basis = [self.pivots[p] for p in self._positions()]
+            self._basis = [self.pivots[p] for p in sorted(self.pivots)]
         return self._basis
 
     def _positions(self) -> dict[int, int]:
@@ -536,14 +536,15 @@ class Cokernel:
                     v = {r: -x for r, x in v.items()}
                 for p in holders.pop(i, ()):
                     pv = pivots[p]
-                    held = pv.keys() - {p, i}
                     vec_addmul(pv, v, -pv[i])
-                    for r in held - pv.keys():
-                        holders[r].discard(p)
-                    for r in pv.keys() - held - {p}:
-                        holders.setdefault(r, set()).add(p)
-                for r in v.keys() - {i}:
-                    holders.setdefault(r, set()).add(i)
+                    for r in v:
+                        if r in pv:
+                            holders.setdefault(r, set()).add(p)
+                        elif r != i:
+                            holders[r].discard(p)
+                for r in v:
+                    if r != i:
+                        holders.setdefault(r, set()).add(i)
                 pivots[i] = v
                 found = True
             pending = residual if found else []

@@ -10,10 +10,15 @@ The cost of a degree is its number of allowed paths, which grows like the
 arrow count to the power of the degree.  Enumeration refuses a degree with
 more than `PATH_BOUND` allowed paths (`BoundExceededError`) before it
 builds any of them, whoever asks for the degree.
+
+The complex works on integer path ids: an n-path's faces are composed
+from those of its (n - 1)-prefix, a path with no non-allowed face is a
+unit generator of the lattice, and coordinates on unit rows need no solve.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from typing import Optional, Sequence
 
 from .chains import BoundExceededError, Chain, DigraphComplex, NotACycleError, Theory
@@ -126,61 +131,104 @@ class OmegaComplex(DigraphComplex):
     lattice basis for the degree-n chain group inside it, and the boundary
     matrix in those lattice coordinates, the coordinates `chain_vector`
     reads a chain in.  `reduced` is the same complex augmented to Z in
-    degree -1.
+    degree -1.  A path's id is its place in `allowed`; `_units` maps each
+    row j whose basis vector is {j: 1} to its basis position.
     """
 
     def __init__(self, g: Digraph):
         self.allowed: dict[int, list[tuple]] = {}
-        self.path_index: dict[int, dict[tuple, int]] = {}
+        self.path_index: dict[int, dict[tuple, int]] = {}  # built on the first read
         self._echelons: dict[int, Echelon] = {}
+        self._units: dict[int, dict[int, int]] = {-1: {}}
+        self._top: tuple = ()  # the face codes and `start` of the newest degree
         super().__init__(g)
 
     def grow(self, maxdeg: int) -> "OmegaComplex":
         """Build every degree up to maxdeg that is not built yet.  A degree
         over `PATH_BOUND` raises `BoundExceededError` before anything of it
         is stored, so it is refused again on every later request, and the
-        degrees below it stay built.  Degree n extends the allowed paths of
-        degree n - 1."""
+        degrees below it stay built.  Degree n extends the paths of degree
+        n - 1 and composes their faces (`_compose`); a path with no
+        non-allowed face is the unit generator {j: 1}, and `kernel_echelon`
+        sees only the other columns (an empty column meets no other one)."""
         g = self.digraph
         for n in range(len(self.allowed), maxdeg + 1):
             paths = _extend(g, self.allowed[n - 1], n) if n else allowed_paths(g, 0)
-            below_index = self.path_index.get(n - 1, {})
-            # each path's faces, once: the allowed ones as (row below, sign),
-            # the others as a column over the non-allowed faces
-            below_faces, cols = [], []
-            nonallowed_rows: dict[tuple, int] = {}
-            for p in paths:
-                below: list[tuple[int, int]] = []
-                col: dict[int, int] = {}
-                for face, sign in _boundary_faces(p):
-                    row = below_index.get(face)
-                    if row is not None:
-                        below.append((row, sign))
-                    else:
-                        row = nonallowed_rows.setdefault(face, len(nonallowed_rows))
-                        col[row] = col.get(row, 0) + sign
-                below_faces.append(below)
-                cols.append({k: v for k, v in col.items() if v})
-            # in degree 0 the empty face has no row, so every boundary is zero
-            if n == 0:
-                cols, nonallowed_rows = [{}] * len(paths), {}
-            ech = kernel_echelon(cols, len(nonallowed_rows))
-            below_ech = self._echelons.get(n - 1, Echelon())
-            bcols = []
+            faces, start, cols, nrows = self._compose(n)
+            ech, mixed = Echelon(), list(cols)
+            ech.pivots = {j: {j: 1} for j in range(len(paths)) if j not in cols}
+            for p, vec in kernel_echelon(list(cols.values()), nrows).pivots.items():
+                ech.pivots[mixed[p]] = {mixed[i]: x for i, x in vec.items()}
+            bcols, signs = [], (1, -1) * (n // 2 + 1)
             for vec in ech.basis_vectors():
-                db: dict[int, int] = {}
-                for idx, coeff in vec.items():
-                    for row, sign in below_faces[idx]:
-                        db[row] = db.get(row, 0) + sign * coeff
-                db = {k: v for k, v in db.items() if v}
-                sol = below_ech.solve(db)
+                if len(vec) == 1:  # a unit generator, whose faces are all allowed or irregular
+                    db = {c: s for j in vec for c, s in zip(faces[j], signs) if c is not None}
+                else:
+                    db = {}
+                    for j, coeff in vec.items():
+                        for c, s in zip(faces[j], signs):
+                            if c is not None and c >= 0:
+                                db[c] = db.get(c, 0) + s * coeff
+                    db = {k: v for k, v in db.items() if v}
+                sol = self._coords(n - 1, db)
                 if sol is None:
                     raise AssertionError("boundary left the allowed chain lattice")
                 bcols.append(sol)
             self.complex.add_degree(n, [f"w{n}:{j}" for j in range(len(ech))], bcols)
-            self.allowed[n], self._echelons[n] = paths, ech
-            self.path_index[n] = {p: i for i, p in enumerate(paths)}
+            self._units[n] = {j: k for k, vec in enumerate(ech.basis_vectors()) if len(vec) == 1 for j in vec}
+            self.allowed[n], self._echelons[n], self._top = paths, ech, (faces, start)
         return self
+
+    def _compose(self, n: int) -> tuple:
+        """The faces of the allowed n-paths, from those of degree n - 1:
+        (codes per path, `start`, {path: column} of the paths with a
+        non-allowed face, row count), where `start[a]` is the id of the
+        first extension of the (n - 1)-path a.  Face i, sign (-1)^i, is
+        coded as its id if allowed, ~row if not (rows numbered in order of
+        first occurrence) and None if irregular.  For p = (q, w), faces
+        0..n-2 are q's extended by w, face n - 1 is q's prefix extended by
+        w, and face n is q.  An allowed a extended by w is the path
+        first[a] + (rank of w among the out-neighbours of a's last vertex),
+        with `first` the `start` of degree n - 1; a non-allowed face is
+        keyed by (its code in q, w), or by (q's prefix, w) for a new jump."""
+        g, rows, cols = self.digraph, {}, {}
+        succ = {v: g.out_neighbors(v) for v in g.vertices}
+        start = list(accumulate((len(succ[q[-1]]) for q in self.allowed.get(n - 1, ())), initial=0))
+        if n < 2:  # a vertex has no face here; (v, w) has (w) and (v)
+            faces = [(g.index(w), qid) for qid, v in enumerate(g.vertices) for w in succ[v]]
+            return faces if n else [()] * len(g.vertices), start, cols, 0
+        rank = {v: {w: r for r, w in enumerate(ws)} for v, ws in succ.items()}
+        below, first = self._top
+        faces, sign = [], -1 if n & 1 else 1  # the sign of face n - 1
+        for qid, q in enumerate(self.allowed[n - 1]):
+            ws, fq, u = succ[q[-1]], below[qid], q[-2]
+            if not ws:
+                continue
+            prefix, jumps, k = fq[-1], rank[u], len(ws)
+            codes = [repeat(c, k) if c is None else [] if c < 0 else range(first[c], first[c] + k) for c in fq[:-1]]
+            down = [(i, c) for i, c in enumerate(fq[:-1]) if c is not None and c < 0]
+            jump = []
+            for w in ws:
+                col = {}
+                for i, c in down:
+                    col[rows.setdefault((c, w), len(rows))] = -1 if i & 1 else 1
+                    codes[i].append(~rows[c, w])
+                if w == u or w in jumps:
+                    jump.append(None if w == u else first[prefix] + jumps[w])
+                else:
+                    col[rows.setdefault((prefix, w), len(rows))] = sign
+                    jump.append(~rows[prefix, w])
+                if col:
+                    cols[start[qid] + len(jump) - 1] = col
+            faces.extend(zip(*codes, jump, repeat(qid, k)))
+        return faces, start, cols, len(rows)
+
+    def _coords(self, n: int, vec: dict) -> Optional[dict]:
+        """`solve` in the degree-n echelon, read off if every row of vec is a unit row."""
+        try:
+            return dict(sorted(zip(map(self._units[n].__getitem__, vec), vec.values())))
+        except KeyError:
+            return self._echelons[n].solve(vec)
 
     def rank(self, n: int) -> int:
         self.complex.grow(n)
@@ -210,13 +258,14 @@ class OmegaComplex(DigraphComplex):
         self.complex.grow(n)
         if n not in self.allowed:
             raise ValueError(f"no allowed paths of degree {n}")
-        index = self.path_index[n]
-        vec: dict[int, int] = {}
-        for path, coeff in terms.items():
-            if path not in index:
-                return None
-            vec[index[path]] = coeff
-        return self._echelons[n].solve(vec)
+        index = self.path_index.get(n)
+        if index is None:
+            index = self.path_index[n] = {p: i for i, p in enumerate(self.allowed[n])}
+        try:
+            vec = {index[path]: coeff for path, coeff in terms.items()}
+        except KeyError:  # a path that is not allowed
+            return None
+        return self._coords(n, vec)
 
     def chain_vector(self, chain: PathChain) -> tuple[int, dict]:
         vec = self.lattice_coords(chain)

@@ -2,8 +2,10 @@
 
 Dense integer lattices on the full Smith form with transforms (`Lattice`,
 `kernel_lattice`, `quotient_group`, `smith_normal_form`, `integer_solve`),
-random unimodular matrices, the chain map of a digraph map on path chains
-(`pushforward`), the cubical connecting map read straight off the face maps
+the path complex from tuple faces with one solve per boundary column
+(`omega_reference`), random unimodular matrices, the chain map of a
+digraph map on path chains (`pushforward`), the cubical connecting map
+read straight off the face maps
 (`connecting_face_formula`), the validity test of a singular cube
 (`is_valid`), the row-major index walk of a grid (`indices`), the
 per-index grid predicates (`on_outer_boundary`, `on_collapsed_part`) and
@@ -13,14 +15,17 @@ grid-map generators that check every candidate in full
 (`random_grid_map`, `random_direct_move`), and a bounded search for
 one-step homotopy certificates (`find_certificate`).
 None of these runs in the program.  The search subdivides and reads
-validity through the program; the others share only the dense
-`_snf_full` and the data types with it.
+validity through the program; `omega_reference` enumerates paths and
+eliminates with the program's `allowed_paths` and `Echelon`, but finds
+and reads faces on its own; the others share only the dense `_snf_full`
+and the data types with it.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
+from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
 from digraph_homology.chains import DigraphPair, GroupMap, hom_map
@@ -46,8 +51,62 @@ from digraph_homology.intlinalg import (
     NotASublatticeError,
     SmithDecomposition,
     _snf_full,
+    kernel_echelon,
 )
-from digraph_homology.paths import PathChain, is_regular
+from digraph_homology.paths import PathChain, _boundary_faces, allowed_paths, is_regular
+
+
+def omega_reference(g: Digraph, maxdeg: int) -> SimpleNamespace:
+    """The Ω complex of g up to maxdeg from tuple faces: every allowed path's
+    faces looked up by tuple, `kernel_echelon` over every path, and one
+    `Echelon.solve` per boundary column.  Returns `allowed`, `echelons` and
+    `boundary_cols` per degree and `lattice_coords(chain)`."""
+    allowed, path_index, echelons, boundary_cols = {}, {}, {}, {}
+    for n in range(maxdeg + 1):
+        paths = allowed_paths(g, n)
+        below_index = path_index.get(n - 1, {})
+        # each path's faces, once: the allowed ones as (row below, sign),
+        # the others as a column over the non-allowed faces
+        below_faces, cols = [], []
+        nonallowed_rows: dict[tuple, int] = {}
+        for p in paths:
+            below: list[tuple[int, int]] = []
+            col: dict[int, int] = {}
+            for face, sign in _boundary_faces(p):
+                row = below_index.get(face)
+                if row is not None:
+                    below.append((row, sign))
+                else:
+                    row = nonallowed_rows.setdefault(face, len(nonallowed_rows))
+                    col[row] = col.get(row, 0) + sign
+            below_faces.append(below)
+            cols.append({k: v for k, v in col.items() if v})
+        # in degree 0 the empty face has no row, so every boundary is zero
+        if n == 0:
+            cols, nonallowed_rows = [{}] * len(paths), {}
+        ech = kernel_echelon(cols, len(nonallowed_rows))
+        below_ech = echelons.get(n - 1, Echelon())
+        bcols = []
+        for vec in ech.basis_vectors():
+            db: dict[int, int] = {}
+            for idx, coeff in vec.items():
+                for row, sign in below_faces[idx]:
+                    db[row] = db.get(row, 0) + sign * coeff
+            sol = below_ech.solve({k: v for k, v in db.items() if v})
+            assert sol is not None, "boundary left the allowed chain lattice"
+            bcols.append(sol)
+        allowed[n], echelons[n], boundary_cols[n] = paths, ech, bcols
+        path_index[n] = {p: i for i, p in enumerate(paths)}
+
+    def lattice_coords(chain: PathChain) -> Optional[dict]:
+        index = path_index[chain.degree]
+        if any(path not in index for path in chain.terms):
+            return None
+        return echelons[chain.degree].solve({index[p]: c for p, c in chain.terms.items()})
+
+    return SimpleNamespace(
+        allowed=allowed, echelons=echelons, boundary_cols=boundary_cols, lattice_coords=lattice_coords
+    )
 
 
 def smith_normal_form(mat: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -37,7 +37,7 @@ from digraph_homology.paths import (
     suspension_cycle,
 )
 from digraph_homology.randomgen import random_digraph
-from oracles import InvalidMappingError, pushforward
+from oracles import InvalidMappingError, omega_reference, pushforward
 
 
 def triangle():
@@ -371,3 +371,81 @@ def test_growing_one_degree_at_a_time_extends_the_degree_below():
         assert stepwise.complex.boundary_cols == cold.complex.boundary_cols
         for k in range(4):
             assert stepwise._echelons[k].basis_vectors() == cold._echelons[k].basis_vectors()
+
+
+# a -> b -> d, a -> c -> d: Ω_2 is spanned by abd - acd, not a unit vector
+SQUARE = build_digraph("abcd", [("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")])
+
+
+def omega_cases() -> list:
+    rng = random.Random(29)
+    cases = [random_digraph(rng, max_vertices=6, max_arrows=10) for _ in range(200)]
+    x = cycle_digraph(4)
+    for k in range(3):
+        x = suspension(x, f"+a{k}", f"+b{k}")
+        cases.append(x)
+    c4 = cycle_digraph(4)
+    cases.append(box_product(box_product(c4, c4), c4))
+    cases.append(SQUARE)
+    cases.append(build_digraph(range(4), [(0, 1), (1, 0), (1, 2), (2, 3), (0, 3)]))  # a double arrow
+    return cases
+
+
+def test_composed_faces_match_the_tuple_face_reference():
+    rng = random.Random(7)
+    off_lattice = 0
+    for g in omega_cases():
+        ref = omega_reference(g, 5)
+        cold, stepwise = OmegaComplex(g).grow(5), OmegaComplex(g)
+        for k in range(6):
+            stepwise.grow(k)
+        for oc in (cold, stepwise):
+            assert oc.allowed == ref.allowed
+            for n in range(6):
+                # entry order too: the vectors are the same dicts, built alike
+                for got, want in ((oc._echelons[n].basis_vectors(), ref.echelons[n].basis_vectors()),
+                                  (oc.complex.boundary_cols[n], ref.boundary_cols[n])):
+                    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+        for n in range(6):
+            rank = cold.rank(n)
+            if rank:
+                coeffs = {j: rng.choice((-3, -2, -1, 1, 2, 3)) for j in rng.sample(range(rank), min(rank, 3))}
+                chain = cold.coords_to_chain(n, coeffs)
+                assert cold.lattice_coords(chain) == ref.lattice_coords(chain) == coeffs
+            # a path with a face outside the allowed paths is off the lattice,
+            # alone or beside a basis chain
+            for path in ref.allowed[n]:
+                single = PathChain.single(path)
+                if ref.lattice_coords(single) is None:
+                    off_lattice += 1
+                    assert cold.lattice_coords(single) is None
+                    if rank:
+                        mixed = cold.basis_chain(n, 0) + single
+                        assert cold.lattice_coords(mixed) is ref.lattice_coords(mixed) is None
+                    break
+    assert off_lattice > 100
+
+
+def test_unit_rows_are_read_without_a_solve(monkeypatch):
+    solved = []
+    solve = Echelon.solve
+
+    def counted(self, vec):
+        solved.append(self)
+        return solve(self, vec)
+
+    x, z = cycle_digraph(4), PathChain(1, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 0): 1})
+    for k in range(3):
+        z, x = suspension_cycle(z, x, f"+a{k}", f"+b{k}"), suspension(x, f"+a{k}", f"+b{k}")
+    monkeypatch.setattr(Echelon, "solve", counted)
+    oc = OmegaComplex(x).grow(6)
+    cls = oc.class_of(z)
+    assert cls.group == AbelianGroup(1) and cls.coords in ((1,), (-1,))
+    assert not any(ech is lattice for ech in solved for lattice in oc._echelons.values())
+
+    # the square's Ω_2 generator abd - acd is no unit vector: its read solves
+    oc, ref = OmegaComplex(SQUARE).grow(2), omega_reference(SQUARE, 2)
+    chain = PathChain(2, {("a", "b", "d"): 2, ("a", "c", "d"): -2})
+    solved.clear()
+    assert oc.lattice_coords(chain) == ref.lattice_coords(chain) == {0: 2}
+    assert any(ech is oc._echelons[2] for ech in solved)
